@@ -46,14 +46,24 @@ Rate/chunk tables are precomputed per clamped triple with ``np.minimum``
 over the batch, replicating the scalar operation order exactly
 (``min(tpt, bw / n) * 1e6 / 8.0``).
 
-Telemetry (``sim/batch_steps``, ``sim/batch_size`` counters and a deferred
-column-lane summary) accumulates in plain python attributes during
-stepping — the hot loop performs **no** observability lookups — and is
-exported once by :meth:`BatchedSimulator.export_telemetry`.
+Rounds pay off while many tasks tie (transfers in lockstep).  Once a
+round executes fewer than :data:`HANDOFF_EVENTS_PER_ROW` events per active
+row, the columns have drifted apart and every live row finishes the second
+in the scalar kernel :func:`~repro.simulator.core.drain_events`: its slots
+become a heap of ``(t, seq, stage)`` entries and pushes are numbered from
+the row's ``ctr`` — the relabelling argument above again, so the result
+stays bit-identical.
+
+Telemetry (``sim/batch_steps``, ``sim/batch_size``, rounds, events and
+handoff counters plus a deferred column-lane summary) accumulates in plain
+python attributes during stepping — the hot loop performs **no**
+observability lookups — and is exported once by
+:meth:`BatchedSimulator.export_telemetry`.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -61,13 +71,19 @@ import numpy as np
 
 from repro import obs
 from repro.simulator.config import SimulatorConfig
-from repro.simulator.core import StageMetrics
+from repro.simulator.core import StageMetrics, drain_events
 from repro.utils.errors import SimulationError
 
 __all__ = ["BatchStageMetrics", "BatchedSimulator"]
 
 _INF = np.inf
 _BIG = np.int32(2**31 - 1)
+
+#: A superround that executes fewer events than this per active row hands
+#: the rest of the second to the scalar kernel (:func:`drain_events`).  One
+#: round costs about as much as 14-22 scalar events per row at 8-16 rows
+#: (DESIGN §15.2); lockstep rounds run about 69 per row and never hand off.
+HANDOFF_EVENTS_PER_ROW = 16
 
 #: Deferred column-lane format for the end-of-run telemetry export.
 _BATCH_FMT = (
@@ -183,6 +199,8 @@ class BatchedSimulator:
         self._stat_transfer_steps = 0
         self._stat_rounds: list[int] = []
         self._stat_events: list[int] = []
+        self._stat_handoffs = 0
+        self._stat_kernel_events = 0
 
     # --------------------------------------------------------------- state
     @property
@@ -250,6 +268,8 @@ class BatchedSimulator:
             raise SimulationError(
                 f"expected threads of shape ({n_rows}, 3), got {threads.shape}"
             )
+        if not np.isfinite(threads).all():
+            raise SimulationError("non-finite thread counts")
         n = np.clip(np.rint(threads), 1, self._nmax[:, None]).astype(np.int64)
         # Per-(transfer, stage) rate/chunk tables — the scalar op order
         # (min(tpt, bw / n) * 1e6 / 8.0) replicated with batch minimums.
@@ -296,6 +316,7 @@ class BatchedSimulator:
             if not act.any():
                 break
             rounds += 1
+            round_events = 0
             np.equal(t, tmin[:, None], out=tie)
             # Tied-run seq extents per stage; BIG/-1 mark an empty run.
             # Only the four extents the ord3 test needs are computed up
@@ -417,8 +438,14 @@ class BatchedSimulator:
                 np.copyto(t_s[s], tpush[:, None], where=upd)
                 np.copyto(seq_s[s], idxg + ctr[:, None], where=upd)
                 ctr += np.int32(ksl)
-                events += int(u.sum())
+                round_events += int(u.sum())
                 proceed &= u >= m
+            events += round_events
+            if round_events < HANDOFF_EVENTS_PER_ROW * np.count_nonzero(act):
+                # Desynchronized columns: a round now costs more than the
+                # scalar events it saves, so finish the second row by row.
+                self._drain_rows(t, seq, ctr, ksl, rates3, chunks3, moved3, fin3, blocked)
+                break
 
         thr3 = (moved3 / np.maximum(horizon[:, None], fin3)) * 8.0 / 1e6
         self._elapsed += horizon
@@ -439,14 +466,45 @@ class BatchedSimulator:
             threads=n,
         )
 
+    def _drain_rows(self, t, seq, ctr, ksl, rates3, chunks3, moved3, fin3, blocked) -> None:
+        """Finish every row that still has queued tasks on the scalar kernel.
+
+        Each live slot becomes a ``(t, seq, stage)`` heap entry and the
+        kernel numbers its pushes from the row's ``ctr``, which exceeds
+        every live sequence number — the same relative order the scalar
+        heap holds at this point, so the result is bit-identical.
+        """
+        sender, receiver = self._sender, self._receiver
+        queued = t < _INF
+        live = np.flatnonzero(queued.any(1)).tolist()
+        events = 0
+        for i in live:
+            slots = np.flatnonzero(queued[i])
+            queue = list(zip(t[i, slots].tolist(), seq[i, slots].tolist(),
+                             (slots // ksl).tolist()))
+            heapq.heapify(queue)
+            queued_tasks, start = len(queue), int(ctr[i])
+            end, sender[i], receiver[i], moved3[i], fin3[i], blocked[i] = drain_events(
+                queue, start, float(sender[i]), float(receiver[i]),
+                tuple(moved3[i].tolist()), tuple(fin3[i].tolist()), int(blocked[i]),
+                rates3[i].tolist(), chunks3[i].tolist(), self.configs[i],
+            )
+            # Every pop is an event: the queued tasks plus each push.
+            events += queued_tasks + end - start
+        self._stat_handoffs += len(live)
+        self._stat_kernel_events += events
+
     # ----------------------------------------------------------- telemetry
     def export_telemetry(self) -> bool:
         """Flush accumulated counters to the active obs session, if any.
 
         Stepping itself never touches :mod:`repro.obs`; this exports the
-        deferred totals (``sim/batch_steps``, ``sim/batch_size``) and a
-        column-lane per-step summary in one call at end of run.  Returns
-        True when a session was active and the export happened.
+        deferred totals (``sim/batch_steps``, ``sim/batch_size``,
+        ``sim/batch_rounds``, ``sim/batch_events`` for vectorized rounds,
+        ``sim/batch_handoffs`` rows finished by the scalar kernel and
+        ``sim/batch_kernel_events`` events it ran) and a column-lane
+        per-step summary in one call at end of run.  Returns True when a
+        session was active and the export happened.
         """
         sess = obs.active()
         if sess is None or self._stat_steps == 0:
@@ -455,6 +513,8 @@ class BatchedSimulator:
         sess.count("sim/batch_size", self._stat_transfer_steps)
         sess.count("sim/batch_rounds", sum(self._stat_rounds))
         sess.count("sim/batch_events", sum(self._stat_events))
+        sess.count("sim/batch_handoffs", self._stat_handoffs)
+        sess.count("sim/batch_kernel_events", self._stat_kernel_events)
         steps = self._stat_steps
         sess.sample_columns(
             _BATCH_FMT,
@@ -470,4 +530,6 @@ class BatchedSimulator:
         self._stat_transfer_steps = 0
         self._stat_rounds = []
         self._stat_events = []
+        self._stat_handoffs = 0
+        self._stat_kernel_events = 0
         return True

@@ -23,6 +23,7 @@ can never exceed its bandwidth.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from repro import obs
@@ -58,6 +59,94 @@ class StageMetrics:
     def throughputs(self) -> tuple[float, float, float]:
         """``(t_r, t_n, t_w)`` in Mbps."""
         return (self.throughput_read, self.throughput_network, self.throughput_write)
+
+
+def drain_events(queue, seq, sender, receiver, moved, fin, blocked, rates, chunks, config):
+    """Algorithm 1's event loop: pop tasks until ``queue`` is empty.
+
+    ``queue`` is a heap of ``(t, seq, stage)`` tasks, consumed in place;
+    ``seq`` is the next sequence number, above every queued one (sequence
+    numbers only break ties, so any order-preserving numbering gives the
+    same result).  ``sender``/``receiver`` are buffer occupancies in bytes,
+    ``moved``/``fin`` the per-stage ``(read, network, write)`` bytes moved
+    and last finish times, ``blocked`` the ε-retry count, and ``rates``/
+    ``chunks`` the per-thread byte rates and chunk sizes of each stage;
+    ``config`` supplies the horizon, ε, overhead and buffer capacities.
+
+    Returns the updated ``(seq, sender, receiver, moved, fin, blocked)``.
+    This is the only copy of the loop: :meth:`IONetworkSimulator.step_second`
+    runs a whole second through it and
+    :class:`~repro.simulator.batch.BatchedSimulator` hands it the rest of a
+    second once its columns stop moving in lockstep.
+    """
+    horizon = config.duration
+    eps = config.epsilon
+    overhead = config.task_overhead
+    sender_cap = config.sender_buffer_capacity
+    receiver_cap = config.receiver_buffer_capacity
+
+    # Hot loop: ~duration/(chunk_seconds + overhead) events per thread per
+    # second, millions of seconds per training run.  Per-stage scalars
+    # replace list indexing, heap functions are bound locally, and ``min``
+    # unrolls to comparisons — all value-identical to the straightforward
+    # form.
+    heappop, heappush = heapq.heappop, heapq.heappush
+    rate_r, rate_n, rate_w = rates
+    chunk_r, chunk_n, chunk_w = chunks
+    moved_r, moved_n, moved_w = moved
+    fin_r, fin_n, fin_w = fin
+
+    while queue:
+        t, _, stage = heappop(queue)
+        if stage == _READ:
+            free = sender_cap - sender
+            if free > 0.0:
+                amount = chunk_r if chunk_r <= free else free
+                sender += amount
+                moved_r += amount
+                finish = t + amount / rate_r
+                if finish > fin_r:
+                    fin_r = finish
+                t_next = finish + overhead
+            else:
+                blocked += 1
+                t_next = t + eps
+        elif stage == _NETWORK:
+            free = receiver_cap - receiver
+            if sender > 0.0 and free > 0.0:
+                amount = chunk_n
+                if sender < amount:
+                    amount = sender
+                if free < amount:
+                    amount = free
+                sender -= amount
+                receiver += amount
+                moved_n += amount
+                finish = t + amount / rate_n
+                if finish > fin_n:
+                    fin_n = finish
+                t_next = finish + overhead
+            else:
+                blocked += 1
+                t_next = t + eps
+        else:  # _WRITE
+            if receiver > 0.0:
+                amount = chunk_w if chunk_w <= receiver else receiver
+                receiver -= amount
+                moved_w += amount
+                finish = t + amount / rate_w
+                if finish > fin_w:
+                    fin_w = finish
+                t_next = finish + overhead
+            else:
+                blocked += 1
+                t_next = t + eps
+        if t_next < horizon:
+            heappush(queue, (t_next, seq, stage))
+            seq += 1
+
+    return (seq, sender, receiver, (moved_r, moved_n, moved_w),
+            (fin_r, fin_n, fin_w), blocked)
 
 
 class IONetworkSimulator:
@@ -142,9 +231,12 @@ class IONetworkSimulator:
     # ----------------------------------------------------------------- step
     def _clamp_threads(self, threads) -> tuple[int, int, int]:
         n_max = self.config.max_threads
-        clamped = tuple(int(min(n_max, max(1, round(float(n))))) for n in threads)
-        if len(clamped) != 3:
+        values = [float(n) for n in threads]
+        if len(values) != 3:
             raise SimulationError(f"expected 3 thread counts, got {threads!r}")
+        if not all(map(math.isfinite, values)):
+            raise SimulationError(f"non-finite thread counts {threads!r}")
+        clamped = tuple(int(min(n_max, max(1, round(v)))) for v in values)
         return clamped  # type: ignore[return-value]
 
     def step_second(self, threads) -> StageMetrics:
@@ -183,89 +275,26 @@ class IONetworkSimulator:
         else:
             rates, chunks, init_queue = cached
 
+        # The initial queue is already a valid min-heap: every priority is
+        # 0.0 and sequence numbers ascend, so no heapify is needed.  Each
+        # event pops one task and pushes at most one back, so the queue
+        # never grows past its starting depth — the peak *is* the initial
+        # size.
+        queue = init_queue.copy()
+        queue_peak = len(queue)
+        _, sender, receiver, moved, fin, blocked_retries = drain_events(
+            queue, len(queue), self._sender_usage, self._receiver_usage,
+            (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0, rates, chunks, cfg,
+        )
         horizon = cfg.duration
-        eps = cfg.epsilon
-        overhead = cfg.task_overhead
         sender_cap = cfg.sender_buffer_capacity
         receiver_cap = cfg.receiver_buffer_capacity
-        sender = self._sender_usage
-        receiver = self._receiver_usage
-
-        # Hot loop: ~duration/(chunk_seconds + overhead) events per thread
-        # per call, millions of calls per training run.  Per-stage scalars
-        # replace list indexing, heap functions are bound locally, and
-        # ``min`` unrolls to comparisons — all value-identical to the
-        # straightforward form this replaced.
-        heappop, heappush = heapq.heappop, heapq.heappush
-        rate_r, rate_n, rate_w = rates
-        chunk_r, chunk_n, chunk_w = chunks
-        moved_r = moved_n = moved_w = 0.0
-        fin_r = fin_n = fin_w = 0.0
-        blocked_retries = 0
-
-        # The initial queue is already a valid min-heap: every priority is
-        # 0.0 and sequence numbers ascend, so no heapify is needed.  The
-        # sequence number breaks ties deterministically.  Each iteration
-        # pops one task and pushes at most one back, so the queue never
-        # grows past its starting depth — the peak *is* the initial size.
-        queue = init_queue.copy()
-        seq = len(queue)
-        queue_peak = seq
-
-        while queue:
-            t, _, stage = heappop(queue)
-            if stage == _READ:
-                free = sender_cap - sender
-                if free > 0.0:
-                    amount = chunk_r if chunk_r <= free else free
-                    sender += amount
-                    moved_r += amount
-                    finish = t + amount / rate_r
-                    if finish > fin_r:
-                        fin_r = finish
-                    t_next = finish + overhead
-                else:
-                    blocked_retries += 1
-                    t_next = t + eps
-            elif stage == _NETWORK:
-                free = receiver_cap - receiver
-                if sender > 0.0 and free > 0.0:
-                    amount = chunk_n
-                    if sender < amount:
-                        amount = sender
-                    if free < amount:
-                        amount = free
-                    sender -= amount
-                    receiver += amount
-                    moved_n += amount
-                    finish = t + amount / rate_n
-                    if finish > fin_n:
-                        fin_n = finish
-                    t_next = finish + overhead
-                else:
-                    blocked_retries += 1
-                    t_next = t + eps
-            else:  # _WRITE
-                if receiver > 0.0:
-                    amount = chunk_w if chunk_w <= receiver else receiver
-                    receiver -= amount
-                    moved_w += amount
-                    finish = t + amount / rate_w
-                    if finish > fin_w:
-                        fin_w = finish
-                    t_next = finish + overhead
-                else:
-                    blocked_retries += 1
-                    t_next = t + eps
-            if t_next < horizon:
-                heappush(queue, (t_next, seq, stage))
-                seq += 1
 
         # Normalize throughputs by their finish times (line 37): a stage that
         # ran past the horizon gets credited over its true elapsed time.
         throughputs = [
-            bytes_per_sec_to_mbps(moved / (horizon if horizon >= fin else fin))
-            for moved, fin in ((moved_r, fin_r), (moved_n, fin_n), (moved_w, fin_w))
+            bytes_per_sec_to_mbps(done / (horizon if horizon >= last else last))
+            for done, last in zip(moved, fin)
         ]
 
         self._sender_usage = sender

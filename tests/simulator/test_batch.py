@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.simulator import BatchedSimulator, SimulatorConfig
+from repro.simulator import BatchedSimulator, IONetworkSimulator, SimulatorConfig
 from repro.utils.errors import SimulationError
 
 
@@ -42,6 +42,26 @@ class TestConstruction:
         sim = BatchedSimulator(config, 2)
         with pytest.raises(SimulationError):
             sim.reset(receiver_usage=config.receiver_buffer_capacity * 2.0)
+
+
+class TestNonFiniteThreads:
+    """Both engines reject NaN/±inf thread counts with the same error."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_scalar_raises(self, bad):
+        sim = IONetworkSimulator(_config())
+        with pytest.raises(SimulationError, match="non-finite"):
+            sim.step_second((4, bad, 4))
+        assert sim.elapsed == 0.0 and sim.sender_usage == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_batched_raises(self, bad):
+        sim = BatchedSimulator(_config(), 3)
+        threads = np.full((3, 3), 4.0)
+        threads[1, 2] = bad
+        with pytest.raises(SimulationError, match="non-finite"):
+            sim.step_second(threads)
+        assert np.all(sim.elapsed == 0.0) and np.all(sim.sender_usage == 0.0)
 
 
 class TestStepping:
@@ -92,6 +112,9 @@ class TestTelemetry:
         sim = BatchedSimulator(_config(), 4)
         for _ in range(3):
             sim.step_second(np.full((4, 3), 5))
+        # Desynchronized columns: rows go through the scalar kernel too.
+        sim.step_second([[1, 10, 3], [7, 2, 9], [10, 10, 1], [2, 5, 8]])
+        assert sim._stat_handoffs > 0
         assert calls == []  # zero lookups across construction + stepping
         assert sim.export_telemetry() is False
         assert calls == [1]  # the one explicit end-of-run export call
@@ -100,16 +123,36 @@ class TestTelemetry:
         with obs.session(tmp_path) as sess:
             sim = BatchedSimulator(_config(), 8)
             sim.step_second(np.full((8, 3), 5))
-            sim.step_second(np.full((8, 3), 7))
+            sim.step_second(np.arange(24).reshape(8, 3) % 10 + 1)
+            sim_handoffs = sim._stat_handoffs
+            sim_kernel = sim._stat_kernel_events
+            assert sim_handoffs > 0 and sim_kernel > 0
             assert sim.export_telemetry() is True
             registry = sess.registry
             assert registry.counter("sim/batch_steps").value == 2.0
             assert registry.counter("sim/batch_size").value == 16.0
             assert registry.counter("sim/batch_rounds").value > 0.0
             assert registry.counter("sim/batch_events").value > 0.0
+            assert registry.counter("sim/batch_handoffs").value == sim_handoffs
+            assert registry.counter("sim/batch_kernel_events").value == sim_kernel
         # Export drained the accumulators: a second export is a no-op.
         with obs.session(tmp_path / "second") as sess:
             assert sim.export_telemetry() is False
+
+    def test_event_total_independent_of_handoff_point(self, monkeypatch):
+        """Rounds plus kernel events count every pop, wherever rows hand off."""
+        import repro.simulator.batch as batch_module
+
+        rng = np.random.default_rng(4)
+        schedule = [rng.integers(1, 11, (5, 3)) for _ in range(6)]
+        totals = []
+        for threshold in (0, 4, batch_module.HANDOFF_EVENTS_PER_ROW, float("inf")):
+            monkeypatch.setattr(batch_module, "HANDOFF_EVENTS_PER_ROW", threshold)
+            sim = BatchedSimulator(_config(), 5)
+            for threads in schedule:
+                sim.step_second(threads)
+            totals.append(sum(sim._stat_events) + sim._stat_kernel_events)
+        assert len(set(totals)) == 1
 
     def test_export_without_session_is_noop(self):
         sim = BatchedSimulator(_config(), 2)

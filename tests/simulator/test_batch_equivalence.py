@@ -6,13 +6,18 @@ must equal the scalar oracle's exactly — ``==`` on floats, no tolerance —
 across seeded random ``(threads, reset, usage)`` sequences.  The property
 sweep drives both simulators through the three fig5 testbed presets
 (read / network / write bottleneck), which between them exercise full
-bursts, partial boundary chunks and ε-retry blocking.
+bursts, partial boundary chunks and ε-retry blocking.  The population
+sweep covers the regime where columns desynchronize and the batched
+engine hands rows to the scalar kernel: jittered ``fabric-ncsa-tacc``
+variants restarted from empty buffers, at three handoff thresholds.
 """
 
 import numpy as np
 import pytest
 
+import repro.simulator.batch as batch_module
 from repro.emulator.presets import (
+    fabric_ncsa_tacc,
     fig5_network_bottleneck,
     fig5_read_bottleneck,
     fig5_write_bottleneck,
@@ -21,6 +26,7 @@ from repro.simulator import (
     BatchedSimulator,
     IONetworkSimulator,
     SimulatorConfig,
+    sample_scenario,
     simulator_config_from_testbed,
 )
 
@@ -106,3 +112,51 @@ def test_equivalence_clamps_threads_like_scalar():
     got = batched.step_second(np.array([[0.0, 999.0, 2.4]]))
     assert got.column(0) == want
     assert got.threads[0].tolist() == list(want.threads)
+
+
+def drive_population(configs, *, steps, seed, reset_every):
+    """Heterogeneous columns, empty-buffer episode starts; compare all."""
+    rng = np.random.default_rng(seed)
+    scalars = [IONetworkSimulator(c, cache_rates=True) for c in configs]
+    batched = BatchedSimulator(configs)
+    highs = np.array([c.max_threads + 1 for c in configs])[:, None]
+    for step in range(steps):
+        if step % reset_every == 0:
+            for sim in scalars:
+                sim.reset()
+            batched.reset()
+        threads = rng.integers(1, highs, (len(configs), 3))
+        expected = [
+            sim.step_second(tuple(int(v) for v in threads[i]))
+            for i, sim in enumerate(scalars)
+        ]
+        got = batched.step_second(threads)
+        for i, want in enumerate(expected):
+            assert got.column(i) == want, f"step {step} column {i}"
+            assert batched.last_blocked_retries[i] == scalars[i].last_blocked_retries
+            assert batched.last_queue_peak[i] == scalars[i].last_queue_peak
+        assert np.all(batched.sender_usage == [s.sender_usage for s in scalars])
+        assert np.all(batched.receiver_usage == [s.receiver_usage for s in scalars])
+    return batched
+
+
+HANDOFF_MODES = {
+    "first-round": float("inf"),
+    "never": 0,
+    "shipped": batch_module.HANDOFF_EVENTS_PER_ROW,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(HANDOFF_MODES))
+def test_equivalence_population_fabric_jitters(monkeypatch, mode):
+    """K fabric-ncsa-tacc jitters plus the preset itself, 24 steps each."""
+    monkeypatch.setattr(batch_module, "HANDOFF_EVENTS_PER_ROW", HANDOFF_MODES[mode])
+    base = simulator_config_from_testbed(fabric_ncsa_tacc())
+    rng = np.random.default_rng(12)
+    configs = [base] + [sample_scenario(rng, base=base) for _ in range(5)]
+    batched = drive_population(configs, steps=24, seed=5, reset_every=10)
+    if mode == "never":
+        assert batched._stat_handoffs == 0
+    else:
+        assert batched._stat_handoffs > 0
+        assert batched._stat_kernel_events > 0
