@@ -16,15 +16,19 @@ and the member index, which makes ``workers=K`` bit-identical to
 ``batched=True`` selects a third, in-process execution mode: all members
 step one :class:`repro.core.batched_env.BatchedEnv` together, so the
 population's simulated seconds cost one fleet-vectorized
-``step_second`` call per step instead of K scalar event loops.  The
-batched path derives the same per-member seed streams and replays the
-same per-member call sequence as ``_train_member``, so its results are
-bit-identical to ``workers=1`` (and therefore to any worker count).
+``step_second`` call per step instead of K scalar event loops.
+
+Both modes run the same code: training is
+:func:`repro.core.training.train_lockstep` — at K=1 per member through
+:func:`~repro.core.training.train`, or at K members over ``BatchedEnv`` and
+:class:`~repro.nn.stacked.StackedPPOAgent` — and evaluation is
+:func:`_evaluate` over the same lockstep API.  With the same derived seed
+streams per member, the batched results are bit-identical to ``workers=1``
+(and therefore to any worker count).
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,9 +36,16 @@ import numpy as np
 
 from repro.core.env import SimulatorEnv
 from repro.core.ppo import PPOAgent, PPOConfig
-from repro.core.training import TrainingConfig, TrainingResult, train
+from repro.core.training import (
+    TrainingConfig,
+    TrainingResult,
+    _Single,
+    train,
+    train_lockstep,
+)
 from repro.parallel import ParallelMap, derive_seed
 from repro.simulator.config import SimulatorConfig
+from repro.utils.config import require_positive
 
 __all__ = ["PopulationMember", "PopulationResult", "train_population"]
 
@@ -65,20 +76,21 @@ class PopulationResult:
         return [m.eval_reward for m in self.members]
 
 
-def _evaluate(
-    agent: PPOAgent, env: SimulatorEnv, episodes: int
-) -> float:
-    """Mean deterministic episode reward of the *best* training checkpoint."""
-    total = 0.0
+def _evaluate(agent, env, episodes: int) -> np.ndarray:
+    """Mean deterministic episode reward per member, over the lockstep API.
+
+    Callers load each member's *best* training checkpoint first.
+    """
+    totals = np.zeros(len(agent.members))
     for _ in range(episodes):
-        state = env.reset()
+        states = env.reset_all()
         for _ in range(env.episode_steps):
-            action, _lp = agent.act(state, deterministic=True)
-            state, reward, done, _info = env.step(action)
-            total += reward
+            actions, _lps = agent.act_all(states, deterministic=True)
+            states, rewards, done, _info = env.step_all(actions)
+            totals += rewards
             if done:
                 break
-    return total / episodes
+    return totals / episodes
 
 
 def _train_member(payload, seed: int) -> tuple[TrainingResult, float]:
@@ -97,9 +109,8 @@ def _train_member(payload, seed: int) -> tuple[TrainingResult, float]:
     result = train(agent, env, training_config)
 
     agent.load_state_dict(result.best_state)
-    eval_env = SimulatorEnv(config, rng=derive_seed(seed, 2))
-    eval_reward = _evaluate(agent, eval_env, eval_episodes)
-    return result, eval_reward
+    single = _Single(agent, SimulatorEnv(config, rng=derive_seed(seed, 2)))
+    return result, float(_evaluate(single, single, eval_episodes)[0])
 
 
 def _train_population_batched(
@@ -112,133 +123,30 @@ def _train_population_batched(
 ) -> PopulationResult:
     """All members training in lockstep on one fleet-vectorized simulator.
 
-    Replays ``_train_member``'s exact call sequence per member — same
-    derived seed streams, same per-episode act/store/update cadence, same
-    convergence bookkeeping — with the K scalar ``step_second`` loops
-    fused into one :class:`BatchedEnv` call per step and the K per-member
-    networks fused into one :class:`~repro.nn.stacked.StackedPPOAgent`
-    (one ``np.matmul`` per layer for the whole population's acting *and*
-    updating, bit-identical per member — see DESIGN §17).  Members that
-    stop early (converged + stagnant) keep their column idle: no further
-    RNG draws, no stored transitions.
+    The K scalar ``step_second`` loops are fused into one
+    :class:`BatchedEnv` call per step and the K per-member networks into
+    one :class:`~repro.nn.stacked.StackedPPOAgent` (one ``np.matmul`` per
+    layer for the whole population's acting *and* updating, bit-identical
+    per member — see DESIGN §17); ``train_lockstep`` and ``_evaluate`` are
+    the same loops ``_train_member`` runs at K=1.
     """
     from repro.core.batched_env import BatchedEnv
     from repro.nn.stacked import StackedPPOAgent
 
-    n = len(variants)
-    cfg = training_config
-    seeds = [derive_seed(root_seed, i) for i in range(n)]
+    seeds = [derive_seed(root_seed, i) for i in range(len(variants))]
     env = BatchedEnv(variants, rngs=[derive_seed(s, 0) for s in seeds])
     stacked = StackedPPOAgent(
         env.state_dim, env.action_dim, ppo_config,
         rngs=[derive_seed(s, 1) for s in seeds],
     )
-    agents = stacked.members
-    r_max = float(cfg.steps_per_episode)
-    target = cfg.convergence_threshold * r_max
-
-    rewards: list[list[float]] = [[] for _ in range(n)]
-    best_reward = [-np.inf] * n
-    best_episode = [-1] * n
-    best_state = [agent.state_dict() for agent in agents]
-    stagnant = [0] * n
-    converged = [False] * n
-    convergence_episode: list[int | None] = [None] * n
-    episodes_run = [0] * n
-    total_steps = [0] * n
-    active = np.ones(n, dtype=bool)
-    started = time.perf_counter()
-
-    for agent in agents:
-        agent.memory.clear()
-    episode = 0
-    steps = min(cfg.steps_per_episode, env.episode_steps)
-    actions = np.zeros((n, 3))
-    while episode < cfg.max_episodes and active.any():
-        states = env.reset_all(mask=active)
-        episode_rewards = np.zeros(n)
-        member_actions: list = [None] * n
-        log_probs = [0.0] * n
-        for _ in range(steps):
-            # One stacked forward for the whole population; inactive rows
-            # are discarded (no RNG draws happen for them).
-            acts, lps = stacked.act_all(states, active=active)
-            for i in np.flatnonzero(active):
-                member_actions[i] = acts[i].copy()
-                log_probs[i] = float(lps[i])
-                actions[i] = member_actions[i]
-            next_states, step_rewards, _done, _info = env.step_all(actions)
-            for i in np.flatnonzero(active):
-                agents[i].memory.store(
-                    states[i], member_actions[i], log_probs[i], float(step_rewards[i])
-                )
-                total_steps[i] += 1
-            states = next_states
-            episode_rewards += step_rewards
-        for i in np.flatnonzero(active):
-            agents[i].memory.end_episode(agents[i].config.gamma)
-        if (episode + 1) % cfg.episodes_per_update == 0:
-            stacked.set_lr_progress(episode / cfg.max_episodes)
-            idx = np.flatnonzero(active)
-            stacked.update_all(idx)
-            for i in idx:
-                agents[i].memory.clear()
-        for i in np.flatnonzero(active):
-            episode_reward = float(episode_rewards[i])
-            rewards[i].append(episode_reward)
-            if episode_reward > best_reward[i]:
-                best_reward[i] = episode_reward
-                best_episode[i] = episode
-                best_state[i] = agents[i].state_dict()
-                stagnant[i] = 0
-            else:
-                stagnant[i] += 1
-            if convergence_episode[i] is None and best_reward[i] >= target:
-                convergence_episode[i] = episode
-            if best_reward[i] >= target and stagnant[i] >= cfg.stagnation_episodes:
-                converged[i] = True
-                episodes_run[i] = episode + 1
-                active[i] = False
-        episode += 1
-    wall = time.perf_counter() - started
-    for i in np.flatnonzero(active):
-        episodes_run[i] = episode
-        if best_reward[i] >= target:
-            converged[i] = True
+    r_max = float(training_config.steps_per_episode)
+    results = train_lockstep(stacked, env, training_config, r_max)
     env.simulator.export_telemetry()
 
-    results = [
-        TrainingResult(
-            episode_rewards=np.asarray(rewards[i]),
-            best_reward=float(best_reward[i]),
-            best_episode=best_episode[i],
-            converged=converged[i],
-            convergence_episode=convergence_episode[i],
-            episodes_run=episodes_run[i],
-            wall_seconds=wall,
-            best_state=best_state[i],
-            max_episode_reward=r_max,
-            steps_per_episode=cfg.steps_per_episode,
-            total_steps=total_steps[i],
-        )
-        for i in range(n)
-    ]
-
-    # Evaluation: best checkpoints, deterministic policy, batched columns.
+    for agent, result in zip(stacked.members, results):
+        agent.load_state_dict(result.best_state)
     eval_env = BatchedEnv(variants, rngs=[derive_seed(s, 2) for s in seeds])
-    for i, agent in enumerate(agents):
-        agent.load_state_dict(results[i].best_state)
-    totals = np.zeros(n)
-    for _ in range(int(eval_episodes)):
-        states = eval_env.reset_all()
-        for _ in range(eval_env.episode_steps):
-            acts, _lps = stacked.act_all(states, deterministic=True)
-            actions[:] = acts
-            states, step_rewards, done, _info = eval_env.step_all(actions)
-            totals += step_rewards
-            if done:
-                break
-    eval_rewards = totals / int(eval_episodes)
+    eval_rewards = _evaluate(stacked, eval_env, eval_episodes)
     eval_env.simulator.export_telemetry()
 
     members = [
@@ -249,10 +157,9 @@ def _train_population_batched(
             training=results[i],
             eval_reward=float(eval_rewards[i]),
         )
-        for i in range(n)
+        for i in range(len(variants))
     ]
-    best_index = int(np.asarray(eval_rewards).argmax())
-    return PopulationResult(members=members, best_index=best_index)
+    return PopulationResult(members=members, best_index=int(eval_rewards.argmax()))
 
 
 def train_population(
@@ -281,6 +188,8 @@ def train_population(
     """
     if not variants:
         raise ValueError("need at least one scenario variant")
+    require_positive(eval_episodes, "eval_episodes")
+    eval_episodes = int(eval_episodes)
     training_config = training_config or TrainingConfig()
     ppo_config = ppo_config or PPOConfig()
     if batched:
@@ -293,7 +202,7 @@ def train_population(
         )
 
     payloads = [
-        (i, config, training_config, ppo_config, int(eval_episodes))
+        (i, config, training_config, ppo_config, eval_episodes)
         for i, config in enumerate(variants)
     ]
     pool = ParallelMap(

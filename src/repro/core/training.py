@@ -1,14 +1,24 @@
-"""Offline PPO training, Algorithm 2.
+"""Offline PPO training, Algorithm 2 — the one training loop.
 
 Runs episodes of ``M`` steps against an environment (normally
-:class:`repro.core.env.SimulatorEnv`), performing one PPO update per episode
-and tracking the best episode reward.  Training stops when
+:class:`repro.core.env.SimulatorEnv`), performing one PPO update per
+``episodes_per_update`` episodes and tracking the best episode reward.
+Training stops when
 
 * the best reward has reached ``convergence_threshold × R_max`` **and**
 * no improvement has been seen for ``stagnation_episodes`` episodes
 
 (the paper's 0.9·R_max + 1000-episode criterion), or when ``max_episodes``
 is exhausted.
+
+The loop, :func:`train_lockstep`, is written once against the lockstep API
+of :class:`repro.core.batched_env.BatchedEnv` (``reset_all``/``step_all``)
+and :class:`repro.nn.stacked.StackedPPOAgent` (``members``/``act_all``/
+``update_all``/``set_lr_progress``): K members step together, each with its
+own best/stagnation/convergence bookkeeping.  Batched population training
+runs it at K members; :func:`train` runs it at K=1 through
+:class:`_Single`, an adapter that still drives the caller's ``env.reset``/
+``env.step`` and ``agent.act``/``agent.update``.
 """
 
 from __future__ import annotations
@@ -122,99 +132,164 @@ def train(
         steps_per_episode=cfg.steps_per_episode,
         r_max=r_max,
     ):
-        return _train_loop(agent, env, cfg, r_max, progress)
+        sess = obs.active()
+
+        def on_episode(_member: int, episode: int, reward: float, best: float) -> None:
+            if sess is not None:
+                # Reward vs R_max per episode — the convergence curve (§IV-E).
+                sess.sample(
+                    "train/episode",
+                    t=float(episode),
+                    reward=reward,
+                    reward_fraction=reward / r_max if r_max else 0.0,
+                    best_reward=best,
+                )
+                sess.count("train/episodes")
+            if progress is not None and cfg.log_every and episode % cfg.log_every == 0:
+                progress(episode, reward, best)
+
+        single = _Single(agent, env)
+        return train_lockstep(single, single, cfg, r_max, on_episode)[0]
 
 
-def _train_loop(
-    agent: PPOAgent,
+class _Single:
+    """One ``agent`` and its ``env`` seen through the lockstep API at K=1.
+
+    ``mask``/``active`` are moot here: the loop stops once its one member does.
+    """
+
+    def __init__(self, agent, env) -> None:
+        self.agent = agent
+        self.env = env
+        self.members = [agent]
+
+    @property
+    def episode_steps(self) -> int:
+        return self.env.episode_steps
+
+    def reset_all(self, mask=None) -> list:
+        return [self.env.reset()]
+
+    def step_all(self, actions) -> tuple[list, list, bool, list]:
+        state, reward, done, info = self.env.step(actions[0])
+        return [state], [reward], done, [info]
+
+    def act_all(self, states, *, active=None, deterministic: bool = False):
+        action, log_prob = self.agent.act(states[0], deterministic=deterministic)
+        return [action], [log_prob]
+
+    def set_lr_progress(self, fraction: float) -> None:
+        self.agent.set_lr_progress(fraction)
+
+    def update_all(self, active_indices) -> list[dict[str, float]]:
+        return [self.agent.update()]
+
+
+def train_lockstep(
+    agent,
     env,
     cfg: TrainingConfig,
     r_max: float,
-    progress: Callable[[int, float, float], None] | None,
-) -> TrainingResult:
-    target = cfg.convergence_threshold * r_max
-    sess = obs.active()
+    on_episode: Callable[[int, int, float, float], None] | None = None,
+) -> list[TrainingResult]:
+    """Algorithm 2 for every member of ``agent``, all stepping in lockstep.
 
-    rewards: list[float] = []
-    best_reward = -np.inf
-    best_episode = -1
-    best_state = agent.state_dict()
-    stagnant = 0
-    converged = False
-    convergence_episode: int | None = None
+    ``agent`` exposes ``members``/``act_all``/``update_all``/
+    ``set_lr_progress`` and ``env`` exposes ``reset_all``/``step_all`` over
+    the same K columns.  Each member sees the call sequence a run of its own
+    would: it acts, stores and updates while active; once it stops (target
+    reached and ``stagnation_episodes`` without improvement) its column
+    idles — no RNG draws, no stored transitions.  ``on_episode(member,
+    episode, reward, best_reward)`` runs after each active member's episode
+    bookkeeping.  Returns one :class:`TrainingResult` per member.
+    """
+    members = agent.members
+    n = len(members)
+    target = cfg.convergence_threshold * r_max
+
+    rewards: list[list[float]] = [[] for _ in range(n)]
+    best_reward = [-np.inf] * n
+    best_episode = [-1] * n
+    best_state = [member.state_dict() for member in members]
+    stagnant = [0] * n
+    converged = [False] * n
+    convergence_episode: list[int | None] = [None] * n
+    episodes_run = [0] * n
+    total_steps = np.zeros(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
     started = time.perf_counter()
 
+    for member in members:
+        member.memory.clear()
     episode = 0
-    total_steps = 0
-    agent.memory.clear()
-    while episode < cfg.max_episodes:
-        state = env.reset()
-        episode_reward = 0.0
+    while episode < cfg.max_episodes and active.any():
+        live = np.flatnonzero(active)
+        states = env.reset_all(mask=active)
+        episode_rewards = np.zeros(n)
         for _ in range(cfg.steps_per_episode):
-            action, log_prob = agent.act(state)
-            next_state, reward, done, _info = env.step(action)
-            agent.memory.store(state, action, log_prob, reward)
-            state = next_state
-            episode_reward += reward
-            total_steps += 1
+            actions, log_probs = agent.act_all(states, active=active)
+            next_states, step_rewards, done, _info = env.step_all(actions)
+            for i in live:
+                members[i].memory.store(states[i], actions[i], log_probs[i], step_rewards[i])
+            total_steps[live] += 1
+            states = next_states
+            episode_rewards += step_rewards
             if done:
                 break
-        agent.memory.end_episode(agent.config.gamma)
+        for i in live:
+            members[i].memory.end_episode(members[i].config.gamma)
         # One PPO update per `episodes_per_update` collected episodes (=1
         # reproduces Algorithm 2 literally; the batched default trades a
         # slightly staler policy for far less gradient noise per update).
         if (episode + 1) % cfg.episodes_per_update == 0:
             agent.set_lr_progress(episode / cfg.max_episodes)
-            agent.update()
-            agent.memory.clear()
+            agent.update_all(live)
+            for i in live:
+                members[i].memory.clear()
 
-        rewards.append(episode_reward)
-        if sess is not None:
-            # Reward vs R_max per episode — the convergence curve (§IV-E).
-            sess.sample(
-                "train/episode",
-                t=float(episode),
-                reward=episode_reward,
-                reward_fraction=episode_reward / r_max if r_max else 0.0,
-                best_reward=max(best_reward, episode_reward),
-            )
-            sess.count("train/episodes")
-        if episode_reward > best_reward:
-            best_reward = episode_reward
-            best_episode = episode
-            best_state = agent.state_dict()
-            stagnant = 0
-        else:
-            stagnant += 1
-
-        if convergence_episode is None and best_reward >= target:
-            convergence_episode = episode
-        if progress is not None and cfg.log_every and episode % cfg.log_every == 0:
-            progress(episode, episode_reward, best_reward)
-
-        # Paper criterion: converged *and* 1000 stagnant episodes of
-        # refinement without improvement.
-        if best_reward >= target and stagnant >= cfg.stagnation_episodes:
-            converged = True
-            episode += 1
-            break
+        for i in live:
+            reward = float(episode_rewards[i])
+            rewards[i].append(reward)
+            if reward > best_reward[i]:
+                best_reward[i] = reward
+                best_episode[i] = episode
+                best_state[i] = members[i].state_dict()
+                stagnant[i] = 0
+            else:
+                stagnant[i] += 1
+            if convergence_episode[i] is None and best_reward[i] >= target:
+                convergence_episode[i] = episode
+            if on_episode is not None:
+                on_episode(i, episode, reward, best_reward[i])
+            # Paper criterion: converged *and* 1000 stagnant episodes of
+            # refinement without improvement.
+            if best_reward[i] >= target and stagnant[i] >= cfg.stagnation_episodes:
+                converged[i] = True
+                episodes_run[i] = episode + 1
+                active[i] = False
         episode += 1
 
-    if best_reward >= target and not converged:
+    wall = time.perf_counter() - started
+    for i in np.flatnonzero(active):
+        episodes_run[i] = episode
         # Budget exhausted after reaching the target but before the full
         # stagnation wait: the model is usable; flag convergence anyway.
-        converged = True
+        if best_reward[i] >= target:
+            converged[i] = True
 
-    return TrainingResult(
-        episode_rewards=np.asarray(rewards),
-        best_reward=float(best_reward),
-        best_episode=best_episode,
-        converged=converged,
-        convergence_episode=convergence_episode,
-        episodes_run=episode,
-        wall_seconds=time.perf_counter() - started,
-        best_state=best_state,
-        max_episode_reward=r_max,
-        steps_per_episode=cfg.steps_per_episode,
-        total_steps=total_steps,
-    )
+    return [
+        TrainingResult(
+            episode_rewards=np.asarray(rewards[i]),
+            best_reward=float(best_reward[i]),
+            best_episode=best_episode[i],
+            converged=converged[i],
+            convergence_episode=convergence_episode[i],
+            episodes_run=episodes_run[i],
+            wall_seconds=wall,
+            best_state=best_state[i],
+            max_episode_reward=r_max,
+            steps_per_episode=cfg.steps_per_episode,
+            total_steps=int(total_steps[i]),
+        )
+        for i in range(n)
+    ]

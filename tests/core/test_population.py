@@ -8,6 +8,7 @@ from repro.core.ppo import PPOConfig
 from repro.core.training import TrainingConfig
 from repro.parallel import derive_seed
 from repro.simulator import SimulatorConfig
+from repro.utils.errors import ConfigError
 
 
 def _variants():
@@ -62,3 +63,10 @@ class TestPopulation:
     def test_empty_variants_rejected(self):
         with pytest.raises(ValueError):
             train_population([])
+
+    @pytest.mark.parametrize("mode", [{"workers": 1}, {"batched": True}])
+    @pytest.mark.parametrize("eval_episodes", [0, -1])
+    def test_non_positive_eval_episodes_rejected(self, mode, eval_episodes):
+        """Both paths refuse before training, with the same typed error."""
+        with pytest.raises(ConfigError, match="eval_episodes"):
+            train_population(_variants(), eval_episodes=eval_episodes, **mode)
