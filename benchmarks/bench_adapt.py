@@ -17,7 +17,7 @@ repo root, like the other ``BENCH_*.json`` artifacts):
 * ``determinism`` — one drift case run twice: case fingerprints must be
   bit-identical.
 
-Run standalone (what the CI ``drift-soak-smoke`` job complements)::
+Run standalone (what the CI ``soak-smoke`` job's drift soak complements)::
 
     PYTHONPATH=src python benchmarks/bench_adapt.py --quick
 
@@ -41,11 +41,11 @@ OVERHEAD_PROPOSALS = 2000
 # ------------------------------------------------------------------ sections
 def bench_detection(work_dir: Path, *, cases: int) -> dict:
     """Drift-soak scenarios: detection latency within the soak bound."""
-    from repro.harness.drift import DriftSoakConfig, run_drift_soak
+    from repro.harness.soak import DriftSoakConfig, run_soak
 
     config = DriftSoakConfig(cases=cases, determinism_check=False)
     start = time.perf_counter()
-    report = run_drift_soak(config, out_dir=work_dir / "soak")
+    report = run_soak(config, out_dir=work_dir / "soak")
     wall = time.perf_counter() - start
     latencies = [c["detection_latency_s"] for c in report["cases"]]
     return {
@@ -121,12 +121,12 @@ def bench_overhead(*, proposals: int) -> dict:
 
 def bench_rollback(work_dir: Path) -> dict:
     """The forced-rollback scenario: demote to guarded, still complete."""
-    from repro.harness.drift import DriftSoakConfig, _run_case
+    from repro.harness.soak import DriftSoakConfig, _run_case
 
     # Case index 2 is the rollback scenario (ramp + hard read/write stall
     # inside the correction window) under the default root seed.
     start = time.perf_counter()
-    record = _run_case(2, DriftSoakConfig(determinism_check=False), str(work_dir))
+    record = _run_case(DriftSoakConfig(determinism_check=False), 2, work_dir)
     return {
         "scenario": record["scenario"],
         "rollbacks": record["rollbacks"],
@@ -143,14 +143,14 @@ def bench_rollback(work_dir: Path) -> dict:
 
 def bench_determinism(work_dir: Path) -> dict:
     """Two same-seed runs of one drift case must fingerprint identically."""
-    from repro.harness.drift import DriftSoakConfig, _run_once
+    from repro.harness.soak import DriftSoakConfig, _run_case
 
-    config = DriftSoakConfig()
+    config = DriftSoakConfig(determinism_check=False)
     fingerprints = []
     wall = 0.0
     for leg in ("one", "two"):
         start = time.perf_counter()
-        record = _run_once(0, config, work_dir / leg)
+        record = _run_case(config, 0, work_dir / leg)
         wall += time.perf_counter() - start
         fingerprints.append(record["fingerprint"])
     return {

@@ -14,7 +14,7 @@ repo root, like the other ``BENCH_*.json`` artifacts):
   bit-identical.  Speed numbers are reported, not gated — they are
   hardware statements, not correctness ones.
 
-Run standalone (what the CI ``fleet-soak-smoke`` job complements)::
+Run standalone (what the CI ``soak-smoke`` job's fleet soak complements)::
 
     PYTHONPATH=src python benchmarks/bench_fleet.py --quick
 

@@ -1,9 +1,10 @@
 """Audited rollback state machine for online adaptation.
 
-The adaptation loop must never be able to hurt a transfer silently: every
-state hop is validated against a legal-transition set (the fleet
-:class:`~repro.fleet.breaker.CircuitBreaker` pattern) and appended to an
-audit log the soak harness re-validates independently.  States::
+The adaptation loop must never be able to hurt a transfer silently: the
+guard is an :class:`~repro.utils.audit.AuditedStateMachine` (like the fleet
+:class:`~repro.fleet.breaker.CircuitBreaker`), so every state hop is
+validated against a legal-transition set and appended to an audit log the
+soak harness re-validates independently.  States::
 
     NOMINAL --(drift detector fires)--> DRIFT_SUSPECTED
     DRIFT_SUSPECTED --(shadow eval promotes the corrector)--> CORRECTING
@@ -13,20 +14,18 @@ audit log the soak harness re-validates independently.  States::
     ROLLED_BACK --(guarded control recovers clean progress)--> NOMINAL
 
 Attempting an illegal hop raises
-:class:`~repro.utils.errors.GuardTransitionError` immediately — an
+:class:`~repro.utils.errors.IllegalTransitionError` immediately — an
 adaptation bug fails loudly instead of corrupting a production transfer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
+from functools import partial
 
-from repro.utils.errors import GuardTransitionError
+from repro.utils import audit
 
 __all__ = [
     "RollbackGuard",
-    "GuardTransition",
     "NOMINAL",
     "DRIFT_SUSPECTED",
     "CORRECTING",
@@ -52,85 +51,41 @@ LEGAL_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
     }
 )
 
-#: Numeric encoding for the guard-state gauge (monitoring-friendly).
-STATE_CODES = {NOMINAL: 0, DRIFT_SUSPECTED: 1, CORRECTING: 2, ROLLED_BACK: 3}
+#: Re-validate a guard log independently (the drift soak's invariant).
+transitions_legal = partial(audit.transitions_legal, legal=LEGAL_TRANSITIONS, initial=NOMINAL)
 
 
-@dataclass(frozen=True)
-class GuardTransition:
-    """One audited state hop."""
-
-    t: float
-    src: str
-    dst: str
-    reason: str
-
-    kind: ClassVar[str] = "guard_transition"
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form for soak and fleet reports."""
-        return {"t": round(self.t, 3), "src": self.src, "dst": self.dst, "reason": self.reason}
-
-
-def transitions_legal(transitions) -> bool:
-    """Independently validate a transition log (the drift-soak invariant).
-
-    Every hop must be in :data:`LEGAL_TRANSITIONS`, the chain must be
-    contiguous (each hop starts where the previous one ended) and must
-    start from NOMINAL — the only birth state.
-    """
-    previous = NOMINAL
-    for tr in transitions:
-        src, dst = (tr.src, tr.dst) if isinstance(tr, GuardTransition) else (tr[0], tr[1])
-        if src != previous or (src, dst) not in LEGAL_TRANSITIONS:
-            return False
-        previous = dst
-    return True
-
-
-class RollbackGuard:
+class RollbackGuard(audit.AuditedStateMachine):
     """Legal-transition state machine driving one adaptive controller."""
 
+    legal = LEGAL_TRANSITIONS
+    states = (NOMINAL, DRIFT_SUSPECTED, CORRECTING, ROLLED_BACK)  # gauge codes 0…3
+    label = "rollback guard"
+
     def __init__(self, *, name: str = "") -> None:
-        self.name = name
-        self.state = NOMINAL
+        super().__init__(name=name)
         self.rollbacks = 0
         self.promotions = 0
-        self.transitions: list[GuardTransition] = []
-
-    def _transition(self, dst: str, t: float, reason: str) -> None:
-        if (self.state, dst) not in LEGAL_TRANSITIONS:
-            raise GuardTransitionError(
-                f"rollback guard {self.name!r}: illegal transition {self.state} -> {dst} "
-                f"at t={t:.1f} ({reason})"
-            )
-        self.transitions.append(GuardTransition(t, self.state, dst, reason))
-        self.state = dst
 
     # ------------------------------------------------------------ the driver
     def suspect(self, t: float, reason: str) -> None:
         """Drift detector fired: NOMINAL → DRIFT_SUSPECTED."""
-        self._transition(DRIFT_SUSPECTED, t, reason)
+        self.transition(DRIFT_SUSPECTED, t, reason)
 
     def promote(self, t: float, reason: str) -> None:
         """Shadow evaluation promoted the corrector: → CORRECTING."""
-        self._transition(CORRECTING, t, reason)
+        self.transition(CORRECTING, t, reason)
         self.promotions += 1
 
     def clear(self, t: float, reason: str) -> None:
         """Suspicion expired or correction held: → NOMINAL."""
-        self._transition(NOMINAL, t, reason)
+        self.transition(NOMINAL, t, reason)
 
     def rollback(self, t: float, reason: str) -> None:
         """Correction regressed: CORRECTING → ROLLED_BACK."""
-        self._transition(ROLLED_BACK, t, reason)
+        self.transition(ROLLED_BACK, t, reason)
         self.rollbacks += 1
 
     def recover(self, t: float, reason: str) -> None:
         """Guarded control recovered: ROLLED_BACK → NOMINAL."""
-        self._transition(NOMINAL, t, reason)
-
-    @property
-    def state_code(self) -> int:
-        """Numeric gauge encoding (0 nominal … 3 rolled back)."""
-        return STATE_CODES[self.state]
+        self.transition(NOMINAL, t, reason)

@@ -16,7 +16,8 @@ competing for one emulated link, scheduled deterministically:
   the fingerprinted fleet report.
 
 ``automdt fleet`` is the CLI entry point;
-:func:`repro.harness.soak.run_fleet_soak` is the chaos harness.
+:func:`repro.harness.soak.run_soak` with a
+:class:`~repro.harness.soak.FleetSoakConfig` is the chaos harness.
 """
 
 from repro.fleet.admission import (
@@ -32,7 +33,6 @@ from repro.fleet.breaker import (
     LEGAL_TRANSITIONS,
     OPEN,
     BreakerConfig,
-    BreakerTransition,
     CircuitBreaker,
     transitions_legal,
 )
@@ -51,7 +51,6 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionQueue",
     "BreakerConfig",
-    "BreakerTransition",
     "Bulkhead",
     "CircuitBreaker",
     "CLOSED",

@@ -9,25 +9,25 @@ cloud pattern applied to transfers.  States::
     HALF_OPEN --(probe slice makes progress)--> CLOSED
     HALF_OPEN --(probe slice fails)--> OPEN
 
-Every transition is appended to :attr:`CircuitBreaker.transitions` with its
+The breaker is an :class:`~repro.utils.audit.AuditedStateMachine`: every
+transition is appended to :attr:`CircuitBreaker.transitions` with its
 virtual timestamp and reason; :func:`transitions_legal` re-validates a log
 independently (each hop in the legal set, the chain contiguous, starting
 from CLOSED), which is the soak harness's breaker invariant.  Attempting an
-illegal hop raises :class:`~repro.utils.errors.BreakerTransitionError`
+illegal hop raises :class:`~repro.utils.errors.IllegalTransitionError`
 immediately — a scheduler bug fails loudly instead of corrupting the fleet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from functools import partial
 
+from repro.utils import audit
 from repro.utils.config import require_positive
-from repro.utils.errors import BreakerTransitionError
 
 __all__ = [
     "BreakerConfig",
-    "BreakerTransition",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",
@@ -45,8 +45,8 @@ LEGAL_TRANSITIONS: frozenset[tuple[str, str]] = frozenset(
     {(CLOSED, OPEN), (OPEN, HALF_OPEN), (HALF_OPEN, CLOSED), (HALF_OPEN, OPEN)}
 )
 
-#: Numeric encoding for the breaker-state gauge (monitoring-friendly).
-STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
+#: Re-validate a breaker log independently (the fleet soak's invariant).
+transitions_legal = partial(audit.transitions_legal, legal=LEGAL_TRANSITIONS, initial=CLOSED)
 
 
 @dataclass(frozen=True)
@@ -63,66 +63,27 @@ class BreakerConfig:
         require_positive(self.half_open_successes, "half_open_successes")
 
 
-@dataclass(frozen=True)
-class BreakerTransition:
-    """One audited state hop."""
-
-    t: float
-    src: str
-    dst: str
-    reason: str
-
-    kind: ClassVar[str] = "breaker_transition"
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form for fleet reports."""
-        return {"t": round(self.t, 3), "src": self.src, "dst": self.dst, "reason": self.reason}
-
-
-def transitions_legal(transitions) -> bool:
-    """Independently validate a transition log (the soak invariant).
-
-    Every hop must be in :data:`LEGAL_TRANSITIONS`, the chain must be
-    contiguous (each hop starts where the previous one ended) and must
-    start from CLOSED — the only birth state.
-    """
-    previous = CLOSED
-    for tr in transitions:
-        src, dst = (tr.src, tr.dst) if isinstance(tr, BreakerTransition) else (tr[0], tr[1])
-        if src != previous or (src, dst) not in LEGAL_TRANSITIONS:
-            return False
-        previous = dst
-    return True
-
-
-class CircuitBreaker:
+class CircuitBreaker(audit.AuditedStateMachine):
     """Failure-counting breaker for one supervised transfer."""
 
+    legal = LEGAL_TRANSITIONS
+    states = (CLOSED, HALF_OPEN, OPEN)  # gauge codes 0 / 1 / 2
+    label = "breaker"
+
     def __init__(self, config: BreakerConfig | None = None, *, name: str = "") -> None:
+        super().__init__(name=name)
         self.config = config or BreakerConfig()
-        self.name = name
-        self.state = CLOSED
         self.consecutive_failures = 0
         self.opened_at: float | None = None
         self.times_opened = 0
         self._probe_successes = 0
-        self.transitions: list[BreakerTransition] = []
-
-    def _transition(self, dst: str, t: float, reason: str) -> None:
-        if (self.state, dst) not in LEGAL_TRANSITIONS:
-            raise BreakerTransitionError(
-                f"breaker {self.name!r}: illegal transition {self.state} -> {dst} "
-                f"at t={t:.1f} ({reason})"
-            )
-        self.transitions.append(BreakerTransition(t, self.state, dst, reason))
-        self.state = dst
 
     # ------------------------------------------------------------ the driver
     def poll(self, t: float) -> str:
         """Advance time-driven transitions (OPEN → HALF_OPEN); returns state."""
         if self.state == OPEN and t >= (self.opened_at or 0.0) + self.config.cooldown:
             self._probe_successes = 0
-            self._transition(HALF_OPEN, t, "cooldown_elapsed")
+            self.transition(HALF_OPEN, t, "cooldown_elapsed")
         return self.state
 
     def allows(self, t: float) -> bool:
@@ -136,12 +97,12 @@ class CircuitBreaker:
             if self.consecutive_failures >= self.config.failure_threshold:
                 self.opened_at = t
                 self.times_opened += 1
-                self._transition(OPEN, t, kind)
+                self.transition(OPEN, t, kind)
         elif self.state == HALF_OPEN:
             # The probe failed: back to OPEN for another cooldown.
             self.opened_at = t
             self.times_opened += 1
-            self._transition(OPEN, t, f"probe_failed:{kind}")
+            self.transition(OPEN, t, f"probe_failed:{kind}")
         # In OPEN the scheduler never runs the transfer; a failure recorded
         # here (e.g. from a stale slice) only deepens the failure count.
         return self.state
@@ -152,10 +113,5 @@ class CircuitBreaker:
         if self.state == HALF_OPEN:
             self._probe_successes += 1
             if self._probe_successes >= self.config.half_open_successes:
-                self._transition(CLOSED, t, "probe_succeeded")
+                self.transition(CLOSED, t, "probe_succeeded")
         return self.state
-
-    @property
-    def state_code(self) -> int:
-        """Numeric gauge encoding (0 closed / 1 half-open / 2 open)."""
-        return STATE_CODES[self.state]

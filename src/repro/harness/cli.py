@@ -35,6 +35,7 @@ already completed at the current revision are skipped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -49,6 +50,7 @@ from repro.obs.store.cli import (
     run_report_command,
     run_store_command,
 )
+from repro.utils.errors import ConfigError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -148,10 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
     soak = sub.add_parser(
         "soak", help="deterministic chaos soak: seeded faults × crashes × invariants"
     )
-    soak.add_argument("--cases", type=int, default=8, help="number of seeded cases")
-    soak.add_argument("--seed", type=int, default=0, help="root seed (cases derive from it)")
-    soak.add_argument("--gb", type=float, default=2.0, help="dataset size per case (GB)")
-    soak.add_argument("--workers", type=int, default=1, help="process fan-out (1 = serial)")
+    # Soak flags default to None: only flags actually passed override the
+    # soak's defaults (or its --quick preset).
+    soak.add_argument("--cases", type=int, default=None, help="number of seeded cases")
+    soak.add_argument("--seed", type=int, default=None, help="root seed (cases derive from it)")
+    soak.add_argument("--gb", type=float, default=None, help="dataset size per case (GB)")
+    soak.add_argument("--workers", type=int, default=None, help="process fan-out (1 = serial)")
     soak.add_argument(
         "--quick", action="store_true",
         help="CI smoke preset: 3 small cases, corruption + crash faults",
@@ -162,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
              "invariants (detection latency, legal rollback, zero data loss)",
     )
     soak.add_argument(
-        "--latency-bound", type=float, default=30.0,
+        "--latency-bound", type=float, default=None,
         help="--drift: max allowed detection delay after drift onset (s)",
     )
     soak.add_argument("--no-crashes", action="store_true", help="disable simulated crashes")
@@ -179,21 +183,23 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet",
         help="multi-tenant fleet control plane: admission, fair share, breakers",
     )
-    fleet.add_argument("--tenants", type=int, default=4, help="equal-weight tenant count")
-    fleet.add_argument("--transfers", type=int, default=32, help="total transfer requests")
-    fleet.add_argument("--gb", type=float, default=0.25, help="dataset size per transfer (GB)")
-    fleet.add_argument("--seed", type=int, default=0, help="root seed")
+    # Defaults of None are filled from _FLEET_DEFAULTS for a one-shot run;
+    # with --soak, only flags actually passed override the soak config.
+    fleet.add_argument("--tenants", type=int, default=None, help="equal-weight tenant count")
+    fleet.add_argument("--transfers", type=int, default=None, help="total transfer requests")
+    fleet.add_argument("--gb", type=float, default=None, help="dataset size per transfer (GB)")
+    fleet.add_argument("--seed", type=int, default=None, help="root seed")
     fleet.add_argument(
         "--capacity-mbps", type=float, default=None,
         help="shared link capacity (default: the testbed bottleneck)",
     )
-    fleet.add_argument("--quantum", type=float, default=10.0, help="scheduling round (s)")
+    fleet.add_argument("--quantum", type=float, default=None, help="scheduling round (s)")
     fleet.add_argument(
-        "--max-parallel", type=int, default=8, help="global dispatch slots per round"
+        "--max-parallel", type=int, default=None, help="global dispatch slots per round"
     )
     fleet.add_argument(
-        "--horizon", type=float, default=3600.0,
-        help="virtual-time budget for the whole fleet (s)",
+        "--horizon", type=float, default=None,
+        help="virtual-time budget for the whole fleet (s; one-shot default 3600)",
     )
     fleet.add_argument("--no-stalls", action="store_true", help="disable stall faults")
     fleet.add_argument(
@@ -204,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--soak", action="store_true",
         help="run the fleet chaos soak (per-case invariants + determinism check)",
     )
-    fleet.add_argument("--cases", type=int, default=4, help="fleet-soak cases (--soak)")
+    fleet.add_argument("--cases", type=int, default=None, help="fleet-soak cases (--soak)")
     fleet.add_argument(
         "--quick", action="store_true",
         help="CI smoke preset for --soak: one 32-transfer case across 4 tenants",
     )
-    fleet.add_argument("--workers", type=int, default=1, help="--soak case fan-out")
+    fleet.add_argument("--workers", type=int, default=None, help="--soak case fan-out")
     fleet.add_argument(
         "--out", default=None, help="directory for per-job artifacts and the report JSON"
     )
@@ -512,57 +518,64 @@ def _cmd_transfer(args) -> int:
     return 0 if result.completed else 1
 
 
-def _cmd_soak(args) -> int:
-    from repro.harness.soak import SoakConfig, render_soak_report, run_soak
+#: Soak flags (argparse dests).  Each sets the config field of its own name,
+#: ``--no-X`` sets ``X=False``, and the renamed ones are in _SOAK_FIELDS.  A
+#: passed flag whose field the soak kind lacks is a usage error.
+_SOAK_FLAGS = (
+    "cases", "seed", "gb", "workers", "latency_bound", "tenants", "transfers",
+    "quantum", "max_parallel", "horizon", "capacity_mbps",
+    "no_stalls", "no_corruption", "no_crashes",
+)
+_SOAK_FIELDS = {"seed": "root_seed", "gb": "gigabytes", "latency_bound": "latency_bound_s"}
 
-    if args.drift:
-        import dataclasses
+#: One-shot ``automdt fleet`` values for the flags that default to None.
+_FLEET_DEFAULTS = {
+    "tenants": 4,
+    "transfers": 32,
+    "gb": 0.25,
+    "seed": 0,
+    "quantum": 10.0,
+    "max_parallel": 8,
+    "horizon": 3600.0,
+}
 
-        from repro.harness.drift import (
-            DriftSoakConfig,
-            render_drift_soak_report,
-            run_drift_soak,
-        )
 
-        if args.quick:
-            config = DriftSoakConfig.quick(root_seed=args.seed)
-        else:
-            config = DriftSoakConfig(
-                cases=args.cases, root_seed=args.seed, workers=args.workers
+def _soak_config(kind, args):
+    """The kind's ``--quick`` preset or defaults, plus every soak flag passed."""
+    fields = {f.name for f in dataclasses.fields(kind)}
+    overrides = {}
+    for flag in _SOAK_FLAGS:
+        value = getattr(args, flag, None)
+        if value is None or value is False:  # not passed
+            continue
+        name = _SOAK_FIELDS.get(flag, flag.removeprefix("no_"))
+        if name not in fields:
+            raise ConfigError(
+                f"--{flag.replace('_', '-')} does not apply to this soak "
+                f"({kind.__name__} has no {name!r})"
             )
-        config = dataclasses.replace(config, latency_bound_s=args.latency_bound)
-        report = run_drift_soak(config, out_dir=args.out)
-        print(render_drift_soak_report(report), end="")
-        if args.out:
-            print(f"report saved to {report['report_path']}")
-        return 0 if report["all_passed"] else 1
+        overrides[name] = False if flag.startswith("no_") else value
+    return dataclasses.replace(kind.quick() if args.quick else kind(), **overrides)
 
-    if args.quick:
-        config = SoakConfig.quick(root_seed=args.seed)
-    else:
-        config = SoakConfig(
-            cases=args.cases,
-            root_seed=args.seed,
-            gigabytes=args.gb,
-            workers=args.workers,
-        )
-    if args.no_crashes:
-        import dataclasses
 
-        config = dataclasses.replace(config, crashes=False)
-    if args.no_corruption:
-        import dataclasses
+def _cmd_soak(args, kind=None) -> int:
+    """``automdt soak [--drift]`` and ``automdt fleet --soak`` (``kind`` given)."""
+    from repro.harness.soak import DriftSoakConfig, SoakConfig, render_soak_report, run_soak
 
-        config = dataclasses.replace(config, corruption=False)
+    kind = kind or (DriftSoakConfig if args.drift else SoakConfig)
+    try:
+        config = _soak_config(kind, args)
+    except ConfigError as exc:
+        print(f"automdt {args.command}: {exc}", file=sys.stderr)
+        return 2
     report = run_soak(config, out_dir=args.out)
-    print(render_soak_report(report), end="")
+    print(render_soak_report(report, kind), end="")
     if args.out:
         print(f"report saved to {report['report_path']}")
     return 0 if report["all_passed"] else 1
 
 
 def _cmd_fleet(args) -> int:
-    import dataclasses
     import tempfile
     from pathlib import Path
 
@@ -574,39 +587,15 @@ def _cmd_fleet(args) -> int:
         TransferRequest,
         render_fleet_report,
     )
-    from repro.harness.soak import (
-        FleetSoakConfig,
-        render_fleet_soak_report,
-        run_fleet_soak,
-    )
+    from repro.harness.soak import FleetSoakConfig
     from repro.utils.config import dump_json
 
     if args.soak:
-        if args.quick:
-            config = FleetSoakConfig.quick(root_seed=args.seed)
-        else:
-            config = FleetSoakConfig(
-                cases=args.cases,
-                root_seed=args.seed,
-                tenants=args.tenants,
-                transfers=args.transfers,
-                gigabytes=args.gb,
-                quantum=args.quantum,
-                max_parallel=args.max_parallel,
-                workers=args.workers,
-            )
-        config = dataclasses.replace(
-            config,
-            stalls=not args.no_stalls,
-            corruption=not args.no_corruption,
-            crashes=not args.no_crashes,
-        )
-        report = run_fleet_soak(config, out_dir=args.out)
-        print(render_fleet_soak_report(report), end="")
-        if args.out:
-            print(f"report saved to {report['report_path']}")
-        return 0 if report["all_passed"] else 1
+        return _cmd_soak(args, FleetSoakConfig)
 
+    for name, value in _FLEET_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
     out_dir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="fleet-"))
     tenants = tuple(
         TenantSpec(f"tenant{i}", max_concurrency=max(2, args.max_parallel))

@@ -33,12 +33,8 @@ class RetryBudgetExhausted(ReproError):
     """A retry loop ran past its elapsed-time budget (see RetryBudget)."""
 
 
-class BreakerTransitionError(ReproError):
-    """A circuit breaker attempted an illegal state transition."""
-
-
-class GuardTransitionError(ReproError):
-    """The adaptation rollback guard attempted an illegal state transition."""
+class IllegalTransitionError(ReproError):
+    """An audited state machine (breaker, rollback guard) hopped illegally."""
 
 
 class StoreError(ReproError):

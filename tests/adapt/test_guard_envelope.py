@@ -15,7 +15,7 @@ from repro.adapt import (
     transitions_legal,
 )
 from repro.emulator.testbed import TestbedConfig
-from repro.utils.errors import GuardTransitionError
+from repro.utils.errors import IllegalTransitionError
 
 
 # ------------------------------------------------------------------- guard
@@ -40,7 +40,7 @@ def test_guard_full_lifecycle_is_legal_and_audited():
 )
 def test_guard_rejects_illegal_hops_from_nominal(method):
     guard = RollbackGuard()
-    with pytest.raises(GuardTransitionError):
+    with pytest.raises(IllegalTransitionError):
         getattr(guard, method)(0.0, "illegal")
     assert guard.state == NOMINAL and not guard.transitions
 

@@ -11,7 +11,7 @@ from repro.fleet import (
     CircuitBreaker,
     transitions_legal,
 )
-from repro.utils.errors import BreakerTransitionError
+from repro.utils.errors import IllegalTransitionError
 
 
 def make(threshold=3, cooldown=30.0, probes=1):
@@ -104,8 +104,8 @@ class TestTransitionAudit:
 
     def test_illegal_transition_raises_immediately(self):
         breaker = make(threshold=1)
-        with pytest.raises(BreakerTransitionError):
-            breaker._transition(HALF_OPEN, 0.0, "bug")  # CLOSED -> HALF_OPEN
+        with pytest.raises(IllegalTransitionError):
+            breaker.transition(HALF_OPEN, 0.0, "bug")  # CLOSED -> HALF_OPEN
 
     def test_legal_set_is_exactly_the_documented_machine(self):
         assert LEGAL_TRANSITIONS == {

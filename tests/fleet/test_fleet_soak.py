@@ -1,10 +1,6 @@
 """Fleet chaos soak: per-case invariants, fairness bound, determinism check."""
 
-from repro.harness.soak import (
-    FleetSoakConfig,
-    render_fleet_soak_report,
-    run_fleet_soak,
-)
+from repro.harness.soak import FleetSoakConfig, render_soak_report, run_soak
 
 
 def small_config(**kwargs):
@@ -18,7 +14,7 @@ def small_config(**kwargs):
 
 class TestFleetSoak:
     def test_invariants_hold_under_chaos(self, tmp_path):
-        report = run_fleet_soak(small_config(), out_dir=tmp_path)
+        report = run_soak(small_config(), out_dir=tmp_path)
         assert report["all_passed"], report["cases"]
         case = report["cases"][0]
         assert case["completed"] == case["admitted"] == 8
@@ -30,16 +26,16 @@ class TestFleetSoak:
             assert case["invariants"][name], name
 
     def test_determinism_check_compares_fingerprints(self, tmp_path):
-        report = run_fleet_soak(small_config(), out_dir=tmp_path)
+        report = run_soak(small_config(), out_dir=tmp_path)
         assert report["cases"][0]["invariants"]["deterministic"]
         # And the whole soak is reproducible from the root seed.
-        replay = run_fleet_soak(small_config(), out_dir=tmp_path / "again")
+        replay = run_soak(small_config(), out_dir=tmp_path / "again")
         assert (
             replay["cases"][0]["fingerprint"] == report["cases"][0]["fingerprint"]
         )
 
     def test_artifacts_land_in_out_dir(self, tmp_path):
-        report = run_fleet_soak(small_config(), out_dir=tmp_path)
+        report = run_soak(small_config(), out_dir=tmp_path)
         assert (tmp_path / "fleet_soak_report.json").exists()
         assert (tmp_path / "fleet000" / "fleet_report.json").exists()
         assert (tmp_path / "fleet000" / "case.json").exists()
@@ -52,8 +48,8 @@ class TestFleetSoak:
         assert config.determinism_check
 
     def test_render_report(self, tmp_path):
-        report = run_fleet_soak(small_config(), out_dir=tmp_path)
-        text = render_fleet_soak_report(report)
+        report = run_soak(small_config(), out_dir=tmp_path)
+        text = render_soak_report(report, FleetSoakConfig)
         assert "fleet soak" in text
         assert "ALL INVARIANTS HELD" in text
         assert "deterministic" in text

@@ -1,9 +1,14 @@
 """CLI integrity surface: soak / verify subcommands and run exit codes."""
 
+import dataclasses
 import json
 
+import pytest
+
+from repro.harness import soak
 from repro.harness.cli import main
 from repro.harness.experiments import EXPERIMENTS, ExperimentResult
+from repro.harness.soak import DriftSoakConfig, FleetSoakConfig, SoakConfig
 
 
 class TestSoakCommand:
@@ -24,6 +29,47 @@ class TestSoakCommand:
         report = json.loads((tmp_path / "soak_report.json").read_text())
         assert len(report["cases"]) == 3  # quick preset pins the case count
         assert not report["config"]["crashes"]
+
+    @pytest.mark.parametrize(
+        "argv, report_name",
+        [
+            (["soak", "--gb", "0.5"], "soak_report.json"),
+            (["soak", "--drift"], "drift_soak_report.json"),
+            (["fleet", "--soak", "--transfers", "4", "--tenants", "2", "--gb", "0.1"],
+             "fleet_soak_report.json"),
+        ],
+        ids=["soak", "drift", "fleet"],
+    )
+    def test_quick_preset_keeps_passed_workers(self, capsys, tmp_path, argv, report_name):
+        code = main([*argv, "--quick", "--cases", "2", "--workers", "2", "--out", str(tmp_path)])
+        assert code == 0
+        config = json.loads((tmp_path / report_name).read_text())["config"]
+        assert config["workers"] == 2 and config["cases"] == 2
+
+    @pytest.mark.parametrize(
+        "argv, kind",
+        [
+            (["soak", "--quick"], SoakConfig),
+            (["soak", "--drift", "--quick"], DriftSoakConfig),
+            (["fleet", "--soak", "--quick"], FleetSoakConfig),
+        ],
+        ids=["soak", "drift", "fleet"],
+    )
+    def test_bare_quick_runs_the_preset_unchanged(self, capsys, monkeypatch, argv, kind):
+        runs = []
+
+        def fake_run_soak(config, *, out_dir=None):
+            runs.append(config)
+            return {"config": dataclasses.asdict(config), "cases": [],
+                    "all_passed": True, "failed_cases": []}
+
+        monkeypatch.setattr(soak, "run_soak", fake_run_soak)
+        assert main(argv) == 0
+        assert runs == [kind.quick()]
+
+    def test_latency_bound_without_drift_is_a_usage_error(self, capsys, tmp_path):
+        assert main(["soak", "--quick", "--latency-bound", "5"]) == 2
+        assert "--latency-bound" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

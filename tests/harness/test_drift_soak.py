@@ -1,21 +1,21 @@
 """Drift soak invariants and the CLI's failure-mode surfacing."""
 
+import json
+
+import pytest
+
 from repro.harness.cli import (
     EXIT_BUDGET_EXHAUSTED,
     _failure_mode,
     _merge_exit,
     main,
 )
-from repro.harness.drift import (
-    DriftSoakConfig,
-    render_drift_soak_report,
-    run_drift_soak,
-)
+from repro.harness.soak import DriftSoakConfig, render_soak_report, run_soak
 
 
 class TestDriftSoak:
     def test_quick_preset_all_invariants_hold(self, tmp_path):
-        report = run_drift_soak(DriftSoakConfig.quick(), out_dir=tmp_path)
+        report = run_soak(DriftSoakConfig.quick(), out_dir=tmp_path)
         assert report["all_passed"], report["failed_cases"]
         assert {c["scenario"] for c in report["cases"]} == {
             "network_ramp", "read_step", "rollback",
@@ -27,18 +27,18 @@ class TestDriftSoak:
 
     def test_same_root_seed_identical_fingerprints(self, tmp_path):
         config = DriftSoakConfig(cases=1, determinism_check=False)
-        one = run_drift_soak(config, out_dir=tmp_path / "a")
-        two = run_drift_soak(config, out_dir=tmp_path / "b")
+        one = run_soak(config, out_dir=tmp_path / "a")
+        two = run_soak(config, out_dir=tmp_path / "b")
         assert [c["fingerprint"] for c in one["cases"]] == [
             c["fingerprint"] for c in two["cases"]
         ]
 
     def test_parallel_identical_to_serial(self, tmp_path):
-        serial = run_drift_soak(
+        serial = run_soak(
             DriftSoakConfig(cases=3, determinism_check=False, workers=1),
             out_dir=tmp_path / "serial",
         )
-        pooled = run_drift_soak(
+        pooled = run_soak(
             DriftSoakConfig(cases=3, determinism_check=False, workers=3),
             out_dir=tmp_path / "pooled",
         )
@@ -47,10 +47,10 @@ class TestDriftSoak:
         ]
 
     def test_render_lists_every_case(self, tmp_path):
-        report = run_drift_soak(
+        report = run_soak(
             DriftSoakConfig(cases=1, determinism_check=False), out_dir=tmp_path
         )
-        rendered = render_drift_soak_report(report)
+        rendered = render_soak_report(report, DriftSoakConfig)
         assert "network_ramp" in rendered
         assert "ALL INVARIANTS HELD" in rendered
 
@@ -58,6 +58,23 @@ class TestDriftSoak:
         code = main(["soak", "--drift", "--quick", "--out", str(tmp_path / "run")])
         assert code == 0
         assert "drift soak" in capsys.readouterr().out
+
+
+class TestDriftSoakCommand:
+    def test_gb_flag_applies_and_default_stays(self, capsys, tmp_path):
+        argv = ["soak", "--drift", "--quick", "--cases", "1"]
+        assert main([*argv, "--gb", "8", "--out", str(tmp_path / "big")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        configs = [
+            json.loads((tmp_path / run / "drift_soak_report.json").read_text())["config"]
+            for run in ("big", "default")
+        ]
+        assert [c["gigabytes"] for c in configs] == [8.0, 4.0]
+
+    @pytest.mark.parametrize("flag", ["--no-crashes", "--no-corruption"])
+    def test_chaos_flags_are_usage_errors(self, capsys, flag):
+        assert main(["soak", "--drift", "--quick", flag]) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestFailureModes:

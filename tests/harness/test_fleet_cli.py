@@ -54,3 +54,20 @@ class TestFleetSoakCommand:
         report = json.loads((tmp_path / "fleet_soak_report.json").read_text())
         assert report["all_passed"]
         assert len(report["cases"]) == 1
+
+    def test_soak_horizon_flag_applies_and_default_stays(self, capsys, tmp_path):
+        argv = ["fleet", "--soak", "--quick", "--transfers", "4", "--tenants", "2",
+                "--gb", "0.1"]
+        main([*argv, "--horizon", "50", "--out", str(tmp_path / "short")])
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        horizons = [
+            json.loads((tmp_path / run / "fleet_soak_report.json").read_text())["config"][
+                "horizon"
+            ]
+            for run in ("short", "default")
+        ]
+        assert horizons == [50.0, 2400.0]
+
+    def test_soak_capacity_flag_is_a_usage_error(self, capsys, tmp_path):
+        assert main(["fleet", "--soak", "--quick", "--capacity-mbps", "10"]) == 2
+        assert "--capacity-mbps" in capsys.readouterr().err
