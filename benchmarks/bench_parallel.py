@@ -3,7 +3,8 @@
 Three sections, one machine-readable report (``BENCH_parallel.json`` at the
 repo root, like the other ``BENCH_*.json`` artifacts):
 
-* ``sweep`` — a real multi-seed experiment sweep (``figure1``) through
+* ``sweep`` — a real multi-seed experiment sweep (``filelevel``, ~0.7 s
+  per seed, long enough for the pool start-up to amortize) through
   :func:`repro.harness.multirun.run_seeded`, serial vs ``--workers``
   processes.  CPU-bound: the speedup ceiling is the machine's core count,
   which the report records.  On a single-core runner the leg is marked
@@ -15,7 +16,8 @@ repo root, like the other ``BENCH_*.json`` artifacts):
   machinery works at near-ideal speedup.
 * ``sim_hotpath`` — ``IONetworkSimulator.step_second`` with the rate
   cache on vs off over held thread triples (the training-loop access
-  pattern), asserting throughput values are bit-identical.
+  pattern), against a per-task reference loop, asserting every
+  ``StageMetrics`` field and the blocked-retry count are bit-identical.
 * ``fleet_steps`` — the fleet-vectorized ``BatchedSimulator`` stepping
   1/16/64/256 transfers per call vs one scalar event loop, asserting
   bit-identical outputs *and* a ≥5× transfer-steps/s speedup at batch
@@ -30,8 +32,8 @@ Run standalone (what the CI ``bench-smoke`` job does)::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py --quick
 
-Exits 1 if parallel results diverge from serial, the cached simulator
-changes any throughput value, or the batched engine misses bit-identity
+Exits 1 if parallel results diverge from serial, the simulator arms
+disagree on any output, or the batched engine misses bit-identity
 or a speedup floor; other speed numbers are reported, not gated —
 they are hardware statements, not correctness ones.
 """
@@ -79,20 +81,20 @@ def bench_io_bound(*, tasks: int = 8, seconds: float = 0.25, workers: int = 4) -
 
 
 def bench_sweep(*, seeds: int = 10, workers: int = 4) -> dict:
-    """Real experiment sweep (figure1 × seeds), serial vs process pool."""
-    from repro.harness.experiments import experiment_figure1
+    """Real experiment sweep (filelevel × seeds), serial vs process pool."""
+    from repro.harness.experiments import experiment_filelevel
     from repro.harness.multirun import run_seeded
 
     seed_list = list(range(seeds))
     t0 = time.perf_counter()
-    serial = run_seeded(experiment_figure1, seed_list, workers=1)
+    serial = run_seeded(experiment_filelevel, seed_list, workers=1)
     serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    parallel = run_seeded(experiment_figure1, seed_list, workers=workers)
+    parallel = run_seeded(experiment_filelevel, seed_list, workers=workers)
     parallel_s = time.perf_counter() - t0
     identical = serial.stats == parallel.stats
     return {
-        "experiment": "figure1",
+        "experiment": "filelevel",
         "seeds": seeds,
         "workers": workers,
         "serial_wall_s": round(serial_s, 3),
@@ -105,10 +107,11 @@ def bench_sweep(*, seeds: int = 10, workers: int = 4) -> dict:
 def _make_reference_simulator(config):
     """The pre-optimisation ``step_second`` as a benchmark baseline.
 
-    Replicates the original loop — rates/chunks/queue rebuilt per call,
-    heapify, list-indexed accumulators, ``len()``-tracked queue peak — so
-    the hot-path section measures before/after rather than just the cache
-    toggle within the optimised code.
+    Replicates the original loop — one heap entry per task, rates/chunks/
+    queue rebuilt per call, heapify, list-indexed accumulators,
+    ``len()``-tracked queue peak — so the hot-path section measures
+    before/after rather than just the cache toggle within the optimised
+    code.
     """
     import heapq
 
@@ -202,8 +205,12 @@ def _make_reference_simulator(config):
     return ReferenceSimulator(config)
 
 
-def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8) -> dict:
-    """step_second: pre-optimisation baseline vs cache off vs cache on."""
+def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8, repeats: int = 3) -> dict:
+    """step_second: pre-optimisation baseline vs cache off vs cache on.
+
+    Every arm must return the same ``StageMetrics`` (all fields) and the
+    same ``last_blocked_retries`` at every step.
+    """
     from repro.simulator.config import SimulatorConfig
     from repro.simulator.core import IONetworkSimulator
 
@@ -221,7 +228,7 @@ def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8) -> dict:
         outputs = []
         t0 = time.perf_counter()
         for triple in sequence:
-            outputs.append(sim.step_second(triple).throughputs)
+            outputs.append((sim.step_second(triple), sim.last_blocked_retries))
         return time.perf_counter() - t0, outputs
 
     arms = {
@@ -231,18 +238,24 @@ def bench_sim_hotpath(*, steps: int = 2000, held_triples: int = 8) -> dict:
     }
     for make in arms.values():  # warm-up pass per arm
         run(make)
-    walls, outs = {}, {}
-    for name, make in arms.items():
-        walls[name], outs[name] = run(make)
+    # Best of interleaved repeats: one step is now ~0.1 ms, so a single
+    # pass per arm leaves the cache ratio at the mercy of host noise.
+    walls = dict.fromkeys(arms, float("inf"))
+    outs = {}
+    for _ in range(repeats):
+        for name, make in arms.items():
+            wall, outs[name] = run(make)
+            walls[name] = min(walls[name], wall)
     return {
         "steps": steps,
         "held_triples": held_triples,
+        "repeats": repeats,
         "reference_wall_s": round(walls["reference"], 3),
         "cache_off_wall_s": round(walls["cache_off"], 3),
         "cache_on_wall_s": round(walls["cache_on"], 3),
         "speedup_vs_reference": round(walls["reference"] / walls["cache_on"], 2),
         "cache_speedup": round(walls["cache_off"] / walls["cache_on"], 2),
-        "throughput_identical": outs["reference"] == outs["cache_off"] == outs["cache_on"],
+        "outputs_identical": outs["reference"] == outs["cache_off"] == outs["cache_on"],
     }
 
 
@@ -426,7 +439,7 @@ def run_bench(*, quick: bool = False, workers: int = 4,
         # show pool overhead (~0.8×), which reads as a regression it isn't.
         # Skip the leg honestly rather than publishing a misleading number.
         sweep: dict = {
-            "experiment": "figure1",
+            "experiment": "filelevel",
             "status": "skipped_single_core",
             "cpu_count": cores,
         }
@@ -451,7 +464,7 @@ def run_bench(*, quick: bool = False, workers: int = 4,
     fleet = report["fleet_steps"]
     report["ok"] = bool(
         sweep_ok
-        and report["sim_hotpath"]["throughput_identical"]
+        and report["sim_hotpath"]["outputs_identical"]
         and fleet["outputs_identical"]
         and fleet["meets_target"]
         and report["population_steps"]["meets_target"]

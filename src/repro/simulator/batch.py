@@ -50,9 +50,10 @@ Rounds pay off while many tasks tie (transfers in lockstep).  Once a
 round executes fewer than :data:`HANDOFF_EVENTS_PER_ROW` events per active
 row, the columns have drifted apart and every live row finishes the second
 in the scalar kernel :func:`~repro.simulator.core.drain_events`: its slots
-become a heap of ``(t, seq, stage)`` entries and pushes are numbered from
-the row's ``ctr`` — the relabelling argument above again, so the result
-stays bit-identical.
+become a heap of ``(t, first_seq, stage, count)`` runs (tied same-stage
+tasks, renumbered by rank) and pushes are numbered from the row's ``ctr``
+— the relabelling argument above again, so the result stays
+bit-identical.
 
 Telemetry (``sim/batch_steps``, ``sim/batch_size``, rounds, events and
 handoff counters plus a deferred column-lane summary) accumulates in plain
@@ -63,7 +64,6 @@ observability lookups — and is exported once by
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -71,7 +71,7 @@ import numpy as np
 
 from repro import obs
 from repro.simulator.config import SimulatorConfig
-from repro.simulator.core import StageMetrics, drain_events
+from repro.simulator.core import StageMetrics, drain_events, task_runs
 from repro.utils.errors import SimulationError
 
 __all__ = ["BatchStageMetrics", "BatchedSimulator"]
@@ -80,10 +80,13 @@ _INF = np.inf
 _BIG = np.int32(2**31 - 1)
 
 #: A superround that executes fewer events than this per active row hands
-#: the rest of the second to the scalar kernel (:func:`drain_events`).  One
-#: round costs about as much as 14-22 scalar events per row at 8-16 rows
-#: (DESIGN §15.2); lockstep rounds run about 69 per row and never hand off.
-HANDOFF_EVENTS_PER_ROW = 16
+#: the rest of the second to the scalar kernel (:func:`drain_events`).  The
+#: run-form kernel spends ~0.4 µs per task, so one round costs as much as
+#: ~70 kernel events per row at 8 rows, ~35 at 16 and ~7-9 at 64-256
+#: (DESIGN §15.2): desynchronized populations hand off after their first
+#: round, while thread-throttled lockstep rounds (~60-78 events per row)
+#: stay vectorized.
+HANDOFF_EVENTS_PER_ROW = 48
 
 #: Deferred column-lane format for the end-of-run telemetry export.
 _BATCH_FMT = (
@@ -469,10 +472,11 @@ class BatchedSimulator:
     def _drain_rows(self, t, seq, ctr, ksl, rates3, chunks3, moved3, fin3, blocked) -> None:
         """Finish every row that still has queued tasks on the scalar kernel.
 
-        Each live slot becomes a ``(t, seq, stage)`` heap entry and the
-        kernel numbers its pushes from the row's ``ctr``, which exceeds
-        every live sequence number — the same relative order the scalar
-        heap holds at this point, so the result is bit-identical.
+        Each row's live slots become the kernel's runs (:func:`task_runs`:
+        sorted by ``(t, seq)``, renumbered by rank) and the kernel numbers
+        its pushes from the row's ``ctr``, which exceeds every live
+        sequence number and every rank — the same relative order the
+        scalar heap holds at this point, so the result is bit-identical.
         """
         sender, receiver = self._sender, self._receiver
         queued = t < _INF
@@ -480,10 +484,9 @@ class BatchedSimulator:
         events = 0
         for i in live:
             slots = np.flatnonzero(queued[i])
-            queue = list(zip(t[i, slots].tolist(), seq[i, slots].tolist(),
-                             (slots // ksl).tolist()))
-            heapq.heapify(queue)
-            queued_tasks, start = len(queue), int(ctr[i])
+            queue = task_runs(zip(t[i, slots].tolist(), seq[i, slots].tolist(),
+                                  (slots // ksl).tolist()))
+            queued_tasks, start = len(slots), int(ctr[i])
             end, sender[i], receiver[i], moved3[i], fin3[i], blocked[i] = drain_events(
                 queue, start, float(sender[i]), float(receiver[i]),
                 tuple(moved3[i].tolist()), tuple(fin3[i].tolist()), int(blocked[i]),

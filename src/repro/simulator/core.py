@@ -5,7 +5,8 @@ Faithful to the paper's pseudocode:
 * tasks (one per scheduled thread slot) live in a time-ordered priority
   queue; popping a task checks its buffer precondition, moves a chunk if it
   can, and re-enqueues itself at ``t + d_task + ε`` while that lands before
-  the horizon;
+  the horizon (the queue holds *runs* of same-stage tasks tied at one time,
+  see :func:`drain_events`);
 * a read task needs free sender-buffer space, a network task needs data at
   the sender *and* free receiver space, a write task needs data at the
   receiver;
@@ -25,6 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 from repro import obs
 from repro.simulator.config import SimulatorConfig
@@ -62,16 +64,29 @@ class StageMetrics:
 
 
 def drain_events(queue, seq, sender, receiver, moved, fin, blocked, rates, chunks, config):
-    """Algorithm 1's event loop: pop tasks until ``queue`` is empty.
+    """Algorithm 1's event loop: pop runs of tasks until ``queue`` is empty.
 
-    ``queue`` is a heap of ``(t, seq, stage)`` tasks, consumed in place;
-    ``seq`` is the next sequence number, above every queued one (sequence
+    ``queue`` is a heap of ``(t, first_seq, stage, count)`` *runs*, consumed
+    in place: ``count`` tasks of one stage, all due at ``t``, numbered
+    ``first_seq … first_seq + count - 1``.  Run ranges are disjoint and
+    ``seq``, the next sequence number, is above every queued one (sequence
     numbers only break ties, so any order-preserving numbering gives the
     same result).  ``sender``/``receiver`` are buffer occupancies in bytes,
     ``moved``/``fin`` the per-stage ``(read, network, write)`` bytes moved
     and last finish times, ``blocked`` the ε-retry count, and ``rates``/
-    ``chunks`` the per-thread byte rates and chunk sizes of each stage;
-    ``config`` supplies the horizon, ε, overhead and buffer capacities.
+    ``chunks`` the per-thread byte rates and (positive) chunk sizes of each
+    stage; ``config`` supplies the horizon, ε, overhead and buffer
+    capacities.
+
+    Popping a run is popping its tasks one by one from a per-task heap of
+    ``(t, seq, stage)``: no other task sorts between two members (ranges
+    are disjoint), and a member's re-queued task lands at ``t_next >= t``
+    with a fresh, larger ``seq``, so it sorts after the rest of its run.
+    Each member still runs the per-task ``min`` chain and ``+=`` updates in
+    order.  The whole-chunk members share one ``t_next`` and go back as one
+    run, as do the blocked ones; each partial chunk goes back alone.  Runs
+    are numbered ``seq … seq + g - 1`` in member order, so ``seq`` advances
+    by one per pushed task exactly as the per-task loop's does.
 
     Returns the updated ``(seq, sender, receiver, moved, fin, blocked)``.
     This is the only copy of the loop: :meth:`IONetworkSimulator.step_second`
@@ -85,11 +100,13 @@ def drain_events(queue, seq, sender, receiver, moved, fin, blocked, rates, chunk
     sender_cap = config.sender_buffer_capacity
     receiver_cap = config.receiver_buffer_capacity
 
-    # Hot loop: ~duration/(chunk_seconds + overhead) events per thread per
-    # second, millions of seconds per training run.  Per-stage scalars
+    # Hot loop: millions of runs per training run.  Per-stage scalars
     # replace list indexing, heap functions are bound locally, and ``min``
     # unrolls to comparisons — all value-identical to the straightforward
-    # form.
+    # form.  Within a run only its own stage acts, so its members fall into
+    # three contiguous groups: whole chunks (one shared finish time),
+    # partial chunks (one task each), then blocked tasks (no state change,
+    # so once one member blocks the rest of the run does too).
     heappop, heappush = heapq.heappop, heapq.heappush
     rate_r, rate_n, rate_w = rates
     chunk_r, chunk_n, chunk_w = chunks
@@ -97,10 +114,25 @@ def drain_events(queue, seq, sender, receiver, moved, fin, blocked, rates, chunk
     fin_r, fin_n, fin_w = fin
 
     while queue:
-        t, _, stage = heappop(queue)
+        t, _, stage, count = heappop(queue)
+        done = 0
         if stage == _READ:
-            free = sender_cap - sender
-            if free > 0.0:
+            while done < count and chunk_r <= sender_cap - sender:
+                sender += chunk_r
+                moved_r += chunk_r
+                done += 1
+            if done:
+                finish = t + chunk_r / rate_r
+                if finish > fin_r:
+                    fin_r = finish
+                t_next = finish + overhead
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, stage, done))
+                    seq += done
+            while done < count:
+                free = sender_cap - sender
+                if not free > 0.0:
+                    break
                 amount = chunk_r if chunk_r <= free else free
                 sender += amount
                 moved_r += amount
@@ -108,12 +140,29 @@ def drain_events(queue, seq, sender, receiver, moved, fin, blocked, rates, chunk
                 if finish > fin_r:
                     fin_r = finish
                 t_next = finish + overhead
-            else:
-                blocked += 1
-                t_next = t + eps
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, stage, 1))
+                    seq += 1
+                done += 1
         elif stage == _NETWORK:
-            free = receiver_cap - receiver
-            if sender > 0.0 and free > 0.0:
+            while (done < count and chunk_n <= sender
+                   and chunk_n <= receiver_cap - receiver):
+                sender -= chunk_n
+                receiver += chunk_n
+                moved_n += chunk_n
+                done += 1
+            if done:
+                finish = t + chunk_n / rate_n
+                if finish > fin_n:
+                    fin_n = finish
+                t_next = finish + overhead
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, stage, done))
+                    seq += done
+            while done < count:
+                free = receiver_cap - receiver
+                if not (sender > 0.0 and free > 0.0):
+                    break
                 amount = chunk_n
                 if sender < amount:
                     amount = sender
@@ -126,11 +175,26 @@ def drain_events(queue, seq, sender, receiver, moved, fin, blocked, rates, chunk
                 if finish > fin_n:
                     fin_n = finish
                 t_next = finish + overhead
-            else:
-                blocked += 1
-                t_next = t + eps
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, stage, 1))
+                    seq += 1
+                done += 1
         else:  # _WRITE
-            if receiver > 0.0:
+            while done < count and chunk_w <= receiver:
+                receiver -= chunk_w
+                moved_w += chunk_w
+                done += 1
+            if done:
+                finish = t + chunk_w / rate_w
+                if finish > fin_w:
+                    fin_w = finish
+                t_next = finish + overhead
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, stage, done))
+                    seq += done
+            while done < count:
+                if not receiver > 0.0:
+                    break
                 amount = chunk_w if chunk_w <= receiver else receiver
                 receiver -= amount
                 moved_w += amount
@@ -138,15 +202,36 @@ def drain_events(queue, seq, sender, receiver, moved, fin, blocked, rates, chunk
                 if finish > fin_w:
                     fin_w = finish
                 t_next = finish + overhead
-            else:
-                blocked += 1
-                t_next = t + eps
-        if t_next < horizon:
-            heappush(queue, (t_next, seq, stage))
-            seq += 1
+                if t_next < horizon:
+                    heappush(queue, (t_next, seq, stage, 1))
+                    seq += 1
+                done += 1
+        if done < count:
+            count -= done
+            blocked += count
+            t_next = t + eps
+            if t_next < horizon:
+                heappush(queue, (t_next, seq, stage, count))
+                seq += count
 
     return (seq, sender, receiver, (moved_r, moved_n, moved_w),
             (fin_r, fin_n, fin_w), blocked)
+
+
+def task_runs(tasks):
+    """Per-task ``(t, seq, stage)`` entries as :func:`drain_events` runs.
+
+    Sorts the tasks, renumbers them by rank and groups each maximal
+    stretch of one stage at one time into a ``(t, first_seq, stage,
+    count)`` run.  The result is sorted, hence already a valid heap, and
+    every rank is below ``len(tasks)``.
+    """
+    runs, rank = [], 0
+    for (t, stage), run in groupby(sorted(tasks), key=lambda e: (e[0], e[2])):
+        count = sum(1 for _ in run)
+        runs.append((t, rank, stage, count))
+        rank += count
+    return runs
 
 
 class IONetworkSimulator:
@@ -261,10 +346,12 @@ class IONetworkSimulator:
             chunks = [
                 max(cfg.min_chunk_bytes, rate * cfg.chunk_seconds) for rate in rates
             ]
-            init_queue: list[tuple[float, int, int]] = []
-            for stage in (_READ, _NETWORK, _WRITE):
-                for _ in range(n[stage]):
-                    init_queue.append((0.0, len(init_queue), stage))
+            # One run per stage, numbered in (read, network, write) order.
+            init_queue = [
+                (0.0, 0, _READ, n[_READ]),
+                (0.0, n[_READ], _NETWORK, n[_NETWORK]),
+                (0.0, n[_READ] + n[_NETWORK], _WRITE, n[_WRITE]),
+            ]
             if self.cache_rates:
                 if len(self._rate_cache) >= self._RATE_CACHE_MAX:
                     # FIFO eviction: drop the oldest triple (dict insertion
@@ -277,13 +364,12 @@ class IONetworkSimulator:
 
         # The initial queue is already a valid min-heap: every priority is
         # 0.0 and sequence numbers ascend, so no heapify is needed.  Each
-        # event pops one task and pushes at most one back, so the queue
-        # never grows past its starting depth — the peak *is* the initial
-        # size.
+        # task re-queues at most once per pop, so the queue never holds more
+        # tasks than it starts with — the peak *is* the thread count.
         queue = init_queue.copy()
-        queue_peak = len(queue)
+        queue_peak = n[0] + n[1] + n[2]
         _, sender, receiver, moved, fin, blocked_retries = drain_events(
-            queue, len(queue), self._sender_usage, self._receiver_usage,
+            queue, queue_peak, self._sender_usage, self._receiver_usage,
             (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0, rates, chunks, cfg,
         )
         horizon = cfg.duration
