@@ -8,13 +8,23 @@ production service pays on every transfer.  Same estimator as
 timed with ``time.process_time``, and the reported overhead is the median
 of per-pair CPU-time ratios, which survives noisy shared machines.
 
-Run standalone (what the CI ``bench-smoke`` job does)::
+A second, faulted leg runs the same pairs on a testbed with a fault
+schedule, which puts the ledger on its faulted sync path (every
+observation synced, seeded in-flight draws): once with only a network
+``BandwidthRamp``, once with the ramp plus an in-flight ``DataCorruption``
+window (whose repair passes re-send the damaged chunks, part of what
+verification costs there).  Its overhead is the median per-pair ratio of
+the two schedules' summed CPU times; it is reported, not gated.
+
+Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_integrity.py --quick
 
 writes ``BENCH_integrity.json`` at the repo root and exits 1 if the
-measured overhead exceeds ``--budget`` (default 0.05).  Also collectable
-by pytest, where the same measurement runs in quick mode.
+measured clean overhead exceeds ``--budget`` (default 0.05).  CI does not
+run this script (its ``bench-smoke`` job calls ``measure_overhead`` only
+through ``bench_dataplane.py``'s short leg); it is also collectable by
+pytest, where the clean measurement runs in quick mode.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import time
 from pathlib import Path
 
 from repro.baselines.static import StaticController
+from repro.emulator.faults import BandwidthRamp, DataCorruption, FaultSchedule
 from repro.emulator.presets import fig5_read_bottleneck
 from repro.emulator.testbed import Testbed
 from repro.transfer.engine import EngineConfig, ModularTransferEngine
@@ -38,10 +49,23 @@ from repro.workloads import large_dataset
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _make_supervisor(seed: int = 0) -> TransferSupervisor:
+#: The faulted leg's schedules, on the ~2,500 s virtual transfer: a network
+#: ramp alone, and the ramp plus a 250 s in-flight corruption window.
+_RAMP = BandwidthRamp(start=500.0, duration=200.0, to_scale=0.6, stage="network")
+FAULTED_SCHEDULES = {
+    "ramp": (_RAMP,),
+    "ramp+corruption": (
+        _RAMP,
+        DataCorruption(start=1000.0, duration=250.0, rate=0.05, site="network"),
+    ),
+}
+
+
+def _make_supervisor(seed: int = 0, events=()) -> TransferSupervisor:
     config = fig5_read_bottleneck()
     engine = ModularTransferEngine(
-        Testbed(config, rng=seed),
+        # A fresh schedule per run: schedules remember which instants fired.
+        Testbed(config, rng=seed, faults=FaultSchedule(list(events)) if events else None),
         large_dataset(total_bytes=200e9),
         StaticController((8, 8, 8)),
         # Budget never binds: the bench measures loop cost, not completion.
@@ -50,9 +74,9 @@ def _make_supervisor(seed: int = 0) -> TransferSupervisor:
     return TransferSupervisor(engine, SupervisorConfig(seed=seed))
 
 
-def _timed_bare() -> tuple[float, float]:
+def _timed_bare(events=()) -> tuple[float, float]:
     """(cpu, wall) seconds for a supervised transfer without verification."""
-    supervisor = _make_supervisor()
+    supervisor = _make_supervisor(events=events)
     # Start every timed leg (both arms) from an empty collector so stray
     # generation-2 sweeps of earlier legs' garbage don't land on one arm.
     gc.collect()
@@ -62,18 +86,58 @@ def _timed_bare() -> tuple[float, float]:
     return time.process_time() - c0, time.perf_counter() - t0
 
 
-def _timed_verified(run_dir: Path, chunk_size: float) -> tuple[float, float, int, float]:
+def _timed_verified(
+    run_dir: Path, chunk_size: float, events=()
+) -> tuple[float, float, int, float]:
     """(cpu, wall, chunks, verify MB/s) for the transfer under verification."""
+    journal = run_dir / "journal.jsonl"
+    if journal.exists():
+        journal.unlink()
     verified = VerifiedTransfer.for_supervisor(
-        _make_supervisor(), run_dir, IntegrityConfig(chunk_size=chunk_size)
+        _make_supervisor(events=events), run_dir, IntegrityConfig(chunk_size=chunk_size)
     )
     gc.collect()
     c0, t0 = time.process_time(), time.perf_counter()
     result = verified.run()
     cpu, wall = time.process_time() - c0, time.perf_counter() - t0
     verified.journal.close()
-    assert result.clean, "clean-path bench run must verify"
+    assert result.clean, "bench run must end verified"
     return cpu, wall, result.chunks_total, result.verify_mb_per_s
+
+
+def measure_faulted_overhead(*, pairs: int = 12, chunk_size: float = 4e6) -> dict:
+    """Paired (bare, verified) timing under :data:`FAULTED_SCHEDULES`.
+
+    Each pair runs every schedule bare and verified; a pair's ratio is the
+    summed verified CPU over the summed bare CPU.  Returns the median ratio
+    minus one, plus the per-schedule medians.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-integrity-faulted-") as tmp:
+        run_dir = Path(tmp)
+        for events in FAULTED_SCHEDULES.values():  # warm-up, outside the pairs
+            _timed_bare(events)
+            _timed_verified(run_dir, chunk_size, events)
+        ratios: list[float] = []
+        per_schedule: dict[str, list[float]] = {name: [] for name in FAULTED_SCHEDULES}
+        for _ in range(pairs):
+            off_total = on_total = 0.0
+            for name, events in FAULTED_SCHEDULES.items():
+                cpu_off, _ = _timed_bare(events)
+                cpu_on, _, _, _ = _timed_verified(run_dir, chunk_size, events)
+                off_total += cpu_off
+                on_total += cpu_on
+                per_schedule[name].append(cpu_on / cpu_off)
+            ratios.append(on_total / off_total)
+
+    def median_overhead(values: list[float]) -> float:
+        return round(sorted(values)[len(values) // 2] - 1.0, 5)
+
+    return {
+        "faulted_overhead": median_overhead(ratios),
+        "faulted_overhead_by_schedule": {
+            name: median_overhead(values) for name, values in per_schedule.items()
+        },
+    }
 
 
 def measure_overhead(*, pairs: int = 12, chunk_size: float = 4e6) -> dict:
@@ -91,11 +155,7 @@ def measure_overhead(*, pairs: int = 12, chunk_size: float = 4e6) -> dict:
         verify_rates: list[float] = []
         for i in range(pairs):
             cpu_off, wall_off = _timed_bare()
-            run_dir = tmp_dir / f"run{i % 4}"
-            journal = run_dir / "journal.jsonl"
-            if journal.exists():
-                journal.unlink()
-            cpu_on, wall_on, _, mb_per_s = _timed_verified(run_dir, chunk_size)
+            cpu_on, wall_on, _, mb_per_s = _timed_verified(tmp_dir / f"run{i % 4}", chunk_size)
             off_cpu.append(cpu_off)
             on_cpu.append(cpu_on)
             off_wall.append(wall_off)
@@ -147,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         set_default_store(args.store)
     pairs = args.pairs if args.pairs is not None else (8 if args.quick else 20)
     report = measure_overhead(pairs=pairs, chunk_size=args.chunk_size)
+    report.update(measure_faulted_overhead(pairs=pairs, chunk_size=args.chunk_size))
     report["budget"] = args.budget
     report["within_budget"] = report["overhead"] < args.budget
     out = Path(args.out) if args.out else REPO_ROOT / "BENCH_integrity.json"

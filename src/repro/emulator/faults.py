@@ -304,6 +304,11 @@ class FaultSchedule:
             ],
             key=lambda pair: pair[0],
         )
+        #: In-flight corruption windows, in event order (the composed rate's
+        #: product order): :meth:`corruption_rate` runs once per faulted sync.
+        self._inflight = [
+            e for e in self._windows if isinstance(e, DataCorruption) and e.site == "network"
+        ]
         self._last_restart = 0.0
         self._fired: set[int] = set()
         self._data_fired: set[int] = set()
@@ -382,8 +387,8 @@ class FaultSchedule:
         independent corruption opportunities: ``1 - prod(1 - rate_i)``.
         """
         survival = 1.0
-        for event in self._windows:
-            if isinstance(event, DataCorruption) and event.site == "network" and event.active(t):
+        for event in self._inflight:
+            if event.active(t):
                 survival *= 1.0 - event.rate
         return 1.0 - survival
 

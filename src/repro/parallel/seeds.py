@@ -19,14 +19,22 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_M1 = 0xBF58476D1CE4E5B9
+_M2 = 0x94D049BB133111EB
+# uint64 twins of the constants for :func:`spawn_keys`.
+_ONE_U64, _GOLDEN_U64, _M1_U64, _M2_U64, _S30, _S27, _S31 = (
+    np.array(v, dtype=np.uint64) for v in (1, _GOLDEN, _M1, _M2, 30, 27, 31)
+)
 
 
 def _mix(z: int) -> int:
     """SplitMix64 finaliser: full-avalanche 64-bit mixing."""
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -59,4 +67,28 @@ def spawn_key(root_seed: int, path: Sequence[int]) -> int:
     seed = int(root_seed)
     for index in path:
         seed = derive_seed(seed, index)
+    return seed
+
+
+def spawn_keys(root_seed, path: Sequence) -> np.ndarray:
+    """Vector form of :func:`spawn_key` over uint64 arrays.
+
+    ``root_seed`` and each ``path`` entry are python ints or integer
+    arrays in ``[0, 2**64)``; they broadcast together, and each element of
+    the result equals :func:`spawn_key` on the corresponding elements.
+    uint64 arithmetic wraps modulo ``2**64``, which is exactly the scalar
+    form's masking.
+    """
+    with np.errstate(over="ignore"):
+        seed = np.asarray(root_seed, dtype=np.uint64)
+        for index in path:
+            z = np.asarray(index, dtype=np.uint64) + _ONE_U64  # a fresh buffer
+            z *= _GOLDEN_U64
+            z = z + seed  # broadcasts against the root
+            z ^= z >> _S30
+            z *= _M1_U64
+            z ^= z >> _S27
+            z *= _M2_U64
+            z ^= z >> _S31
+            seed = z
     return seed

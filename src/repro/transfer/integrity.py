@@ -47,15 +47,16 @@ Verify-on-resume state machine::
     FINAL_VERIFY --(clean)--> VERIFIED
 
 Everything is deterministic: corruption draws come from
-:func:`repro.parallel.seeds.spawn_key` on ``(chunk_id, send_count)``, so a
-re-sent chunk gets a fresh draw while identical runs stay bit-identical.
+:func:`repro.parallel.seeds.spawn_key` on ``(chunk_id, send_count)`` (its
+vector form :func:`~repro.parallel.seeds.spawn_keys` draws a whole sync's
+batch at once), so a re-sent chunk gets a fresh draw while identical runs
+stay bit-identical.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from itertools import accumulate
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -79,7 +80,7 @@ from repro.transfer.supervisor import (
 from repro.utils.checksum import Xxh32Stream, crc32c, crc32c_many, xxh32, xxh32_many
 from repro.utils.config import dump_json, load_json, require_positive
 from repro.utils.errors import IntegrityError
-from repro.parallel.seeds import spawn_key
+from repro.parallel.seeds import spawn_key, spawn_keys
 
 __all__ = [
     "ChunkJournal",
@@ -196,65 +197,80 @@ class TransferManifest:
         counts = np.maximum(
             1, np.ceil(file_sizes / self.chunk_size).astype(np.int64)
         ) if len(self.files) else np.zeros(0, dtype=np.int64)
+        self._counts = counts
         total_chunks = int(counts.sum())
-        file_idx = np.repeat(np.arange(len(self.files), dtype=np.int64), counts)
-        starts = np.zeros(len(self.files), dtype=np.int64)
-        if len(self.files):
-            starts[1:] = np.cumsum(counts)[:-1]
-        indices = np.arange(total_chunks, dtype=np.int64) - np.repeat(starts, counts)
+        file_idx, indices = self._file_rows()
         chunk_bytes = np.minimum(
             self.chunk_size, file_sizes[file_idx] - indices.astype(np.float64) * self.chunk_size
         )
-        running = np.cumsum(chunk_bytes)
-        offsets = np.zeros(total_chunks, dtype=np.float64)
-        offsets[1:] = running[:-1]
-        # Payload-tag arena: every chunk's canonical content, concatenated.
-        # Index strings are shared across files so a 50k-chunk manifest
-        # builds ~one str() per distinct chunk index.
+        # Payload-tag arena: every chunk's canonical content
+        # ``{dataset}:{file}:{index}:{content_seed}``, concatenated.  Each
+        # file's run of tags is one C-level join of the shared, once-encoded
+        # ``{index}:{content_seed}`` suffixes, so no per-chunk object is built.
         max_count = int(counts.max()) if len(counts) else 0
-        index_strs = [str(i) for i in range(max_count)]
-        tags: list[bytes] = []
-        for fi, (name, _size) in enumerate(self.files):
-            prefix = f"{self.dataset_name}:{name}:"
-            suffix = f":{self.content_seed}"
-            tags.extend(
-                (prefix + index_strs[i] + suffix).encode() for i in range(int(counts[fi]))
-            )
-        tag_lengths = np.array([len(t) for t in tags], dtype=np.int64)
+        idx_suffix = [f"{i}:{self.content_seed}".encode() for i in range(max_count)]
+        prefixes = [f"{self.dataset_name}:{name}:".encode() for name, _ in self.files]
+        self._arena = b"".join(
+            prefix + prefix.join(idx_suffix[:count])
+            for prefix, count in zip(prefixes, counts.tolist())
+        )
+        self._arena_view = memoryview(self._arena)
+        prefix_lengths = np.array([len(p) for p in prefixes], dtype=np.int64)
+        suffix_lengths = np.array([len(x) for x in idx_suffix], dtype=np.int64)
+        tag_lengths = prefix_lengths[file_idx] + suffix_lengths[indices]
         tag_offsets = np.zeros(total_chunks, dtype=np.int64)
         if total_chunks:
-            tag_offsets[1:] = np.cumsum(tag_lengths)[:-1]
-        self._arena = b"".join(tags)
-        self._arena_view = memoryview(self._arena)
+            np.cumsum(tag_lengths[:-1], out=tag_offsets[1:])
         self._tag_offsets = tag_offsets
         self._tag_lengths = tag_lengths
         digests = _BATCH_KERNELS[algorithm](self._arena, tag_offsets, tag_lengths)
 
-        self.chunk_files: tuple[int, ...] = tuple(file_idx.tolist())
-        self.chunk_indices: tuple[int, ...] = tuple(indices.tolist())
-        self.chunk_offsets: tuple[float, ...] = tuple(offsets.tolist())
         self.chunk_sizes: tuple[float, ...] = tuple(chunk_bytes.tolist())
-        self.chunk_digests: tuple[int, ...] = tuple(int(d) for d in digests)
+        self.chunk_digests: tuple[int, ...] = tuple(digests.tolist())
         #: Vector views of the chunk table for the ledger's sweep kernels.
         self.sizes_np = chunk_bytes
         self.digests_np = np.asarray(digests, dtype=np.int64)
-        self.total_bytes = float(running[-1]) if total_chunks else 0.0
+        # Sequential (cumsum) total, not numpy's pairwise ``sum``.
+        self.total_bytes = float(np.cumsum(chunk_bytes)[-1]) if total_chunks else 0.0
         self._chunks_cache: tuple[ChunkSpec, ...] | None = None
+
+    def _file_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-chunk ``(file index, chunk index within the file)`` columns."""
+        counts = self._counts
+        file_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        starts = np.zeros(len(counts), dtype=np.int64)
+        if len(counts):
+            starts[1:] = np.cumsum(counts)[:-1]
+        indices = np.arange(len(file_idx), dtype=np.int64) - np.repeat(starts, counts)
+        return file_idx, indices
 
     @property
     def chunks(self) -> tuple[ChunkSpec, ...]:
         """The chunk table as :class:`ChunkSpec` rows (lazily materialised)."""
         if self._chunks_cache is None:
+            file_idx, indices = self._file_rows()
+            offsets = np.zeros(len(self.sizes_np), dtype=np.float64)
+            if len(offsets):
+                offsets[1:] = np.cumsum(self.sizes_np)[:-1]
+            names = [name for name, _ in self.files]
             self._chunks_cache = tuple(
                 ChunkSpec(
                     chunk_id=cid,
-                    file=self.files[self.chunk_files[cid]][0],
-                    index=self.chunk_indices[cid],
-                    offset=self.chunk_offsets[cid],
-                    size=self.chunk_sizes[cid],
-                    digest=self.chunk_digests[cid],
+                    file=names[fi],
+                    index=index,
+                    offset=offset,
+                    size=size,
+                    digest=digest,
                 )
-                for cid in range(len(self.chunk_sizes))
+                for cid, (fi, index, offset, size, digest) in enumerate(
+                    zip(
+                        file_idx.tolist(),
+                        indices.tolist(),
+                        offsets.tolist(),
+                        self.chunk_sizes,
+                        self.chunk_digests,
+                    )
+                )
             )
         return self._chunks_cache
 
@@ -298,6 +314,15 @@ class TransferManifest:
     def size_of(self, chunk_id: int) -> float:
         """Byte size of one chunk."""
         return self.chunk_sizes[chunk_id]
+
+    def bytes_of(self, chunk_ids) -> float:
+        """Total size of ``chunk_ids``, added left to right in the given order.
+
+        A sequential fold (``cumsum``), never numpy's pairwise ``sum``: the
+        resume offsets it feeds must not depend on how a sum is blocked.
+        """
+        sizes = self.sizes_np[np.asarray(chunk_ids, dtype=np.int64)]
+        return float(np.cumsum(sizes)[-1]) if len(sizes) else 0.0
 
     def __len__(self) -> int:
         return len(self.chunk_sizes)
@@ -669,9 +694,14 @@ class DestinationLedger:
 
     State is columnar (status codes, digests, send counts as numpy arrays
     indexed by chunk id) with dict-like views for external readers.  On
-    the fault-free path :meth:`sync` is fully vectorized: one
-    ``searchsorted`` against the pending queue's cumulative sizes maps a
-    byte delta onto every chunk it completes.
+    the fault-free path one ``bisect`` against the pending queue's
+    cumulative sizes maps a byte delta onto every chunk it completes.  On
+    the faulted path a scalar walk finds the completed chunks and
+    :meth:`_complete_batch` books them as one batch: one ``_order``
+    update, one vector of seeded in-flight draws (only while a corruption
+    window is open), divergent digests only for the chunks a draw hits.
+    Both paths defer the ok-completion column writes to
+    :meth:`_materialize`.
 
     Statuses: ``missing`` (not durable), ``ok`` (digest matches manifest),
     ``corrupt`` (bit-flipped in flight or at rest), ``torn`` (partial
@@ -726,14 +756,29 @@ class DestinationLedger:
         self._synced_bytes = 0.0  # engine byte count already mapped
         self._clock = 0.0
         self._torn_pending = False
+        #: First-level corruption-draw keys, one per derivation tag.
+        self._draw_roots = {
+            tag: spawn_key(self.seed, (tag,)) for tag in (_DRAW_INFLIGHT, _DRAW_ATREST)
+        }
         #: Durable bytes applied across ALL passes (never rewound by
         #: :meth:`begin_pass`) — the conservation side of the accounting.
         self.bytes_applied_total = 0.0
 
     # ---------------------------------------------------------- fault model
-    def _uniform(self, tag: int, chunk_id: int, send: int) -> float:
-        """Deterministic uniform draw in [0, 1) for one (chunk, send) pair."""
-        return spawn_key(self.seed, (tag, chunk_id, send)) / _U64
+    def _draws(self, tag: int, chunk_ids, sends) -> np.ndarray:
+        """Deterministic uniform draws in [0, 1), one per (chunk, send) pair.
+
+        Element ``i`` is ``spawn_key(seed, (tag, chunk_ids[i], sends[i])) /
+        2**64`` — the per-tag root is derived once per ledger.
+        """
+        return spawn_keys(self._draw_roots[tag], (chunk_ids, sends)) / _U64
+
+    def _damage(self, chunk_id: int, code: int, marker: bytes) -> int:
+        """Give one chunk a divergent digest under ``code``; returns the digest."""
+        digest = self._divergent_digest(chunk_id, marker)
+        self._status_arr[chunk_id] = code
+        self._digest_arr[chunk_id] = digest
+        return digest
 
     def _divergent_digest(self, chunk_id: int, marker: bytes) -> int:
         """A digest deterministically different from the chunk's expected one.
@@ -767,41 +812,63 @@ class DestinationLedger:
             self._order_set_stale = False
         return self._order_set
 
-    def _complete_chunk(self, chunk_id: int, t: float) -> int:
-        """Mark one chunk durable; returns the digest the destination holds."""
-        send = int(self._send_arr[chunk_id]) + 1
-        self._send_arr[chunk_id] = send
+    def _complete_batch(self, start: int, stop: int, t: float) -> tuple[list[int], list[int]]:
+        """Mark pending-queue entries ``[start, stop)`` durable at ``t``.
+
+        Returns the chunk ids and the digests the destination now holds.
+        As on the clean path, durability is recorded in ``_order`` alone
+        and the ok-completion column writes (send count + 1, status, the
+        manifest digest) are left to :meth:`_materialize`, one slice or
+        fancy-index write per column for everything completed since the
+        last read.  A pending torn write or an open in-flight corruption
+        window folds them at once, and :meth:`_strike_batch` diverts the
+        digests it hits.
+        """
+        ids = self._pending[start:stop]
+        order = self._order
+        order_set = self._ordered_ids()
+        if not order_set.isdisjoint(ids):  # re-sends: move them to the tail (rare)
+            self._materialize()
+            resent = order_set.intersection(ids)
+            order[:] = [c for c in order if c not in resent]
+            self._clean_tail = len(order)
+        order.extend(ids)
+        order_set.update(ids)
+        digests = self._pend_dig[start:stop]
+        rate = self.faults.corruption_rate(t)
+        if self._torn_pending or rate > 0.0:
+            digests = self._strike_batch(ids, digests, rate)
+        return ids, digests
+
+    def _strike_batch(self, ids: list[int], digests, rate: float) -> list[int]:
+        """Data-plane damage to a just-completed batch; returns its digests.
+
+        A pending torn write lands on the batch's first chunk.  Every other
+        chunk gets a seeded in-flight draw on ``(chunk_id, send)`` when
+        ``rate > 0``; only the chunks a draw hits pay for a divergent digest.
+        """
+        self._materialize()  # the batch's send counts; no later fold over the damage
+        sends = self._send_arr[ids]
+        digests = list(digests)
+        first = 0
         if self._torn_pending:
             self._torn_pending = False
-            code, digest = _TORN, self._divergent_digest(chunk_id, b"|torn:%d" % send)
-        else:
-            rate = self.faults.corruption_rate(t) if self.faults is not None else 0.0
-            if rate > 0.0 and self._uniform(_DRAW_INFLIGHT, chunk_id, send) < rate:
-                code, digest = _CORRUPT, self._divergent_digest(
-                    chunk_id, b"|flip:%d" % send
-                )
-            else:
-                code, digest = _OK, self._expected[chunk_id]
-        self._status_arr[chunk_id] = code
-        self._digest_arr[chunk_id] = digest
-        order_set = self._ordered_ids()
-        if chunk_id in order_set:  # re-send: move to the tail (rare)
-            self._order.remove(chunk_id)
-        else:
-            order_set.add(chunk_id)
-        self._order.append(chunk_id)
-        self._clean_tail = len(self._order)  # columns are current for this entry
-        return digest
+            digests[0] = self._damage(ids[0], _TORN, b"|torn:%d" % sends[0])
+            first = 1
+        if rate > 0.0 and first < len(ids):
+            draws = self._draws(_DRAW_INFLIGHT, ids[first:], sends[first:])
+            for j in (np.flatnonzero(draws < rate) + first).tolist():
+                digests[j] = self._damage(ids[j], _CORRUPT, b"|flip:%d" % sends[j])
+        return digests
 
     def _materialize(self) -> None:
-        """Fold deferred fast-path completions into the chunk columns.
+        """Fold deferred ok completions into the chunk columns.
 
-        The fault-free completion path in :meth:`sync` records durability
-        as a bare ``_order`` extend (plus the journal record) and defers
-        the status/digest/send-count writes; every reader of those columns
-        calls this first — one fancy-indexed vector op for the whole tail.
-        No-op for faulted ledgers, where :meth:`_complete_chunk` keeps the
-        columns current in-line.
+        Both completion paths record durability in ``_order`` alone (the
+        clean path even defers that, advancing only its queue head) and
+        defer the status/digest/send-count writes; every reader of those
+        columns calls this first — one slice or fancy-indexed vector op per
+        column for the whole tail ``_order[_clean_tail:]``.
         """
         if self.faults is None and self._order_head < self._head:
             # Fold the deferred completion order first: the clean sync path
@@ -812,8 +879,9 @@ class DestinationLedger:
         if self._clean_tail == len(order):
             return
         tail = order[self._clean_tail :]
-        # Within one deferred tail ids are strictly increasing (the clean
-        # path completes pending chunks in id order), so a full-span check
+        # Within one deferred tail ids are strictly increasing (both paths
+        # complete pending chunks in id order, and a new pass, a re-send, a
+        # fault instant or a strike folds first), so a full-span check
         # detects the contiguous common case and folds it as one slice.
         lo, hi = tail[0], tail[-1] + 1
         if hi - lo == len(tail):
@@ -826,10 +894,13 @@ class DestinationLedger:
             self._status_arr[ids] = _OK
             self._digest_arr[ids] = self._expected_np[ids]
             self._send_arr[ids] += 1
-        self._order_set_stale = True  # rebuilt lazily by _ordered_ids
+        if self.faults is None:
+            # The clean path skipped the order set; the faulted path keeps it.
+            self._order_set_stale = True  # rebuilt lazily by _ordered_ids
         self._clean_tail = len(order)
 
     def _apply_instant(self, event) -> None:
+        self._materialize()  # strikes read and overwrite the columns
         if isinstance(event, TornWrite):
             # The chunk in flight at the tear completes with a garbage tail.
             if self._head < len(self._pending):
@@ -843,16 +914,14 @@ class DestinationLedger:
                 self._digest_arr[ids] = -1
                 self._ordered_ids().difference_update(lost)
             del self._order[len(self._order) - min(event.chunks, len(self._order)) :]
+            self._clean_tail = len(self._order)
         elif isinstance(event, DataCorruption):  # site == "storage", at-rest
-            for chunk_id in list(self._order):
-                if self._status_arr[chunk_id] != _OK:
-                    continue
-                send = int(self._send_arr[chunk_id])
-                if self._uniform(_DRAW_ATREST, chunk_id, send) < event.rate:
-                    self._status_arr[chunk_id] = _CORRUPT
-                    self._digest_arr[chunk_id] = self._divergent_digest(
-                        chunk_id, b"|rest:%d" % send
-                    )
+            ids = np.array(self._order, dtype=np.int64)
+            ids = ids[self._status_arr[ids] == _OK]
+            sends = self._send_arr[ids]
+            hits = np.flatnonzero(self._draws(_DRAW_ATREST, ids, sends) < event.rate)
+            for chunk_id, send in zip(ids[hits].tolist(), sends[hits].tolist()):
+                self._damage(chunk_id, _CORRUPT, b"|rest:%d" % send)
 
     # -------------------------------------------------------------- syncing
     def begin_pass(self, chunk_ids, *, start_bytes: float) -> None:
@@ -866,13 +935,11 @@ class DestinationLedger:
         self._order_head = 0
         if isinstance(chunk_ids, range) and chunk_ids == range(len(self._all_ids)):
             ids = None  # full pass, checked O(1)
-        elif isinstance(chunk_ids, range):
-            ids = list(chunk_ids) if chunk_ids.step == 1 else sorted(chunk_ids)
         else:
-            ids = sorted(int(c) for c in chunk_ids)
+            ids = np.sort(np.asarray(chunk_ids, dtype=np.int64))
         if ids is None or (
             len(ids) == len(self._all_ids)
-            and (not ids or (ids[0] == 0 and ids[-1] == len(ids) - 1))
+            and (not len(ids) or (ids[0] == 0 and ids[-1] == len(ids) - 1))
         ):
             # Full pass (sorted distinct ids spanning 0..n-1): reuse the
             # precomputed queue instead of rebuilding 3 × n-element lists.
@@ -880,10 +947,11 @@ class DestinationLedger:
             self._pend_cum = self._full_cum
             self._pend_dig = self._expected
         else:
-            sizes, expected = self._sizes, self._expected
-            self._pending = ids
-            self._pend_cum = list(accumulate(sizes[c] for c in ids))
-            self._pend_dig = [expected[c] for c in ids]
+            # cumsum is a sequential left fold: the same sums, bit for bit,
+            # as accumulating the sizes one chunk at a time.
+            self._pending = ids.tolist()
+            self._pend_cum = np.cumsum(self._sizes_np[ids]).tolist()
+            self._pend_dig = self._expected_np[ids].tolist()
         self._head = 0
         self._partial = 0.0
         self._consumed = 0.0
@@ -906,12 +974,13 @@ class DestinationLedger:
         return value is empty.  Byte counts only move forward; a smaller
         ``bytes_total`` than already synced is ignored (stale observation).
 
-        Fault-free ledgers take a fully vectorized path: one
-        ``searchsorted`` against the queue's cumulative sizes finds every
-        chunk the delta completes, and the status/digest/send-count
-        column writes are deferred to :meth:`_materialize`.  Faulted
-        ledgers route per-chunk through :meth:`_complete_chunk`, which
-        handles torn/corrupt outcomes and re-send bookkeeping.
+        Fault-free ledgers find every chunk the delta completes with one
+        ``bisect`` against the queue's cumulative sizes and defer the
+        status/digest/send-count column writes to :meth:`_materialize`.
+        Faulted ledgers walk the chunk boundaries in Python (the walk's
+        float arithmetic is the contract) and book the completions as one
+        batch through :meth:`_complete_batch`, which handles torn/corrupt
+        outcomes and re-send bookkeeping.
         """
         if self.faults is not None:
             for event in self.faults.take_data_events(self._clock, t):
@@ -982,44 +1051,51 @@ class DestinationLedger:
     def _sync_faulted(
         self, delta: float, t: float, journal: "ChunkJournal | None"
     ) -> list[tuple[int, int]]:
-        """Scalar delta mapping for faulted ledgers (torn/corrupt outcomes)."""
+        """Delta mapping for faulted ledgers (torn/corrupt outcomes).
+
+        A scalar walk finds the chunk boundaries the delta crosses (each
+        completion subtracts its full remaining size); the completions
+        themselves are booked as one batch by :meth:`_complete_batch`.
+        """
         pending, sizes, head, partial = (
             self._pending,
             self._sizes,
             self._head,
             self._partial,
         )
+        start = head
         count = len(pending)
-        completed: list[tuple[int, int]] = []
         while delta > 0.0 and head < count:
-            chunk_id = pending[head]
-            need = sizes[chunk_id] - partial
+            need = sizes[pending[head]] - partial
             if delta >= need - _COMPLETE_EPS:
                 delta -= need
                 partial = 0.0
                 head += 1
-                completed.append((chunk_id, self._complete_chunk(chunk_id, t)))
             else:
                 partial += delta
                 delta = 0.0
         self._head, self._partial = head, partial
         self._consumed = (self._pend_cum[head - 1] if head else 0.0) + partial
+        ids, digests = self._complete_batch(start, head, t) if head > start else ([], [])
         if delta > _COMPLETE_EPS and head >= count:
             raise IntegrityError(
                 f"destination received {delta:.0f} bytes beyond the pending chunk set"
             )
-        if journal is not None and completed:
-            journal.record_batch(
-                [c for c, _ in completed], [d for _, d in completed], t
-            )
+        if journal is not None:
+            journal.record_batch(ids, digests, t)  # no-op for an empty batch
             return []
-        return completed
+        return list(zip(ids, digests))
 
     # ------------------------------------------------------------- queries
     def matches(self, chunk_id: int) -> bool:
         """Whether the destination's digest equals the manifest's."""
         self._materialize()
         return bool(self._digest_arr[chunk_id] == self._expected_np[chunk_id])
+
+    def matches_many(self, chunk_ids: np.ndarray) -> np.ndarray:
+        """:meth:`matches` over an id array, as one boolean mask."""
+        self._materialize()
+        return self._digest_arr[chunk_ids] == self._expected_np[chunk_ids]
 
     def verify(self) -> list[int]:
         """Chunk ids whose destination digest is missing or wrong.
@@ -1030,14 +1106,14 @@ class DestinationLedger:
         self._materialize()
         return np.nonzero(self._digest_arr != self._expected_np)[0].tolist()
 
-    def demote(self, chunk_ids: list[int]) -> None:
+    def demote(self, chunk_ids) -> None:
         """Mark chunks non-durable so a repair pass re-transfers them."""
         self._materialize()
         if len(chunk_ids):
-            ids = np.asarray(list(chunk_ids), dtype=np.int64)
+            ids = np.asarray(chunk_ids, dtype=np.int64)
             self._status_arr[ids] = _MISSING
             self._digest_arr[ids] = -1
-            dropped = set(int(c) for c in chunk_ids) & self._ordered_ids()
+            dropped = self._ordered_ids().intersection(ids.tolist())
             if dropped:
                 self._order = [c for c in self._order if c not in dropped]
                 self._order_set -= dropped
@@ -1277,31 +1353,28 @@ class VerifiedTransfer:
         A chunk counts as verified only when the journal *claims* it, the
         claim equals the manifest digest, **and** the destination still
         holds that digest (at-rest damage after journaling is caught
-        here).  Everything else is queued for (re-)transfer; claimed-but-
-        mismatching chunks are demoted first and reported as re-sent.
+        here).  Everything else is demoted and queued for (re-)transfer;
+        claimed-but-mismatching chunks are reported as re-sent.  The claims
+        are checked in one vector compare, and the resume offset is the
+        verified chunks' sizes added left to right in claim order.
         """
         claims = self.journal.replay()
-        expected = self.manifest.expected()
-        verified: list[int] = []
-        resent: list[int] = []
-        for chunk_id, claim in claims.items():
-            if chunk_id not in expected:
-                continue  # journal from another manifest; ignore the claim
-            if claim == expected[chunk_id] and self.ledger.matches(chunk_id):
-                verified.append(chunk_id)
-            else:
-                resent.append(chunk_id)
-        self.ledger.demote(resent)
+        n = len(self.manifest)
+        ids = np.fromiter(claims.keys(), dtype=np.int64, count=len(claims))
+        claimed = np.fromiter(claims.values(), dtype=np.int64, count=len(claims))
+        known = (ids >= 0) & (ids < n)  # a journal from another manifest: ignore
+        ids, claimed = ids[known], claimed[known]
+        ok = (claimed == self.manifest.digests_np[ids]) & self.ledger.matches_many(ids)
+        verified = ids[ok]
+        resent = ids[~ok].tolist()
         # Unclaimed-but-durable chunks (journal buffer lost in the crash)
-        # are NOT trusted: conservative WAL semantics re-transfer them.
-        resent_set = set(resent)
-        unclaimed = [
-            cid
-            for cid in range(len(self.manifest))
-            if cid not in claims or cid in resent_set
-        ]
-        self.ledger.demote([c for c in unclaimed if c not in resent_set])
-        start_bytes = sum(self.manifest.size_of(c) for c in verified)
+        # are NOT trusted: conservative WAL semantics re-transfer them, so
+        # every chunk but the verified ones is demoted and queued.
+        queued = np.ones(n, dtype=bool)
+        queued[verified] = False
+        unclaimed = np.flatnonzero(queued)
+        self.ledger.demote(unclaimed)
+        start_bytes = self.manifest.bytes_of(verified)  # claim order
         self.ledger.begin_pass(unclaimed, start_bytes=start_bytes)
         return start_bytes, len(verified), resent
 
@@ -1361,7 +1434,7 @@ class VerifiedTransfer:
             obs.count("integrity/chunks_resent", len(bad))
             with obs.span("integrity/repair", round=repair_rounds, chunks=len(bad)):
                 self.ledger.demote(bad)
-                rewind = sum(self.manifest.size_of(c) for c in bad)
+                rewind = self.manifest.bytes_of(bad)
                 pass_start = self.manifest.total_bytes - rewind
                 self.ledger.begin_pass(bad, start_bytes=pass_start)
                 resent.extend(bad)
